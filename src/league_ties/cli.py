@@ -74,11 +74,6 @@ def cmd_count(args: argparse.Namespace) -> int:
                 f"optimised counter supports 2 <= n <= {MAX_TEAMS}; n={n} needs a "
                 f"different algorithm"
             )
-        if n == MAX_TEAMS and not args.long:
-            raise SizeRefusedError(
-                f"n={MAX_TEAMS} is a multi-hour batch run (expected total "
-                f"{KNOWN_TOTALS[MAX_TEAMS]}); pass --long to run it anyway"
-            )
     if args.method in ("brute", "both") and n > BRUTE_CEILING and not args.allow_large_brute:
         raise SizeRefusedError(
             f"brute-force sweep is refused for n > {BRUTE_CEILING}; "
@@ -256,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict-search",
         action="store_true",
-        help="disable mid-row overshoot pruning (slower; for differential testing)",
+        help="count with the unpruned recursive search instead of the deficit DP "
+        "(slower; for differential testing)",
     )
     p.add_argument(
         "--allow-large-brute",
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--long",
         action="store_true",
-        help="opt in to multi-hour runs (required for n=8)",
+        help="accepted for compatibility; no league size needs it any more",
     )
     p.set_defaults(func=cmd_count)
 

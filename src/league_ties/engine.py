@@ -4,13 +4,16 @@ The total for ``n`` teams is assembled from the profile classes: the single
 all-draw outcome, the draw-free class counted in closed form by Eulerian
 digraphs, and one weighted search per SEARCH profile.  Per-profile results
 are exact integers and combine by addition, so worker count, scheduling
-order and interruption points cannot change the total.
+order and interruption points cannot change the total.  The searches of one
+run share a memo of deficit multisets (see :mod:`league_ties.search`): one
+in this process, or one per pool worker that lasts as long as the pool.
 
 A checkpoint ledger (one header line, then one JSON record per finished
 profile) makes long runs resumable: on restart, profiles already on record
 are not searched again.  All counts are carried as Python integers end to
-end; the compiled kernels raise instead of wrapping, so a reported total is
-exact or the run fails loudly.
+end; the default search is pure Python and the compiled kernels (strict
+mode) raise instead of wrapping, so a reported total is exact or the run
+fails loudly.
 """
 
 from __future__ import annotations
@@ -40,14 +43,12 @@ from .search import count_completions, split_prefixes
 
 ENGINE_VERSION = "0.1.0"
 
-#: Largest league the optimised counter accepts.  n=8 finishes but is a
-#: multi-hour batch job, not a desk-scale run; n=9 would need a different
-#: algorithm.
+#: Largest league the optimised counter accepts.  n=8 takes seconds; n=9
+#: stays refused until a second route can vouch for its total.
 MAX_TEAMS = 8
 
 #: Previously computed totals (OEIS A380592), used as reference values by
-#: the verify command and the test suite.  The n=8 value is documented here
-#: precisely because reproducing it is an opt-in long run.
+#: the verify command and the test suite.
 KNOWN_TOTALS: dict[int, int] = {
     2: 3,
     3: 27,
@@ -58,12 +59,12 @@ KNOWN_TOTALS: dict[int, int] = {
     8: 3439079361325736243,
 }
 
-#: Profiles whose raw search space reaches this many leaves are split into
-#: per-prefix subtasks when running with several workers.
-SPLIT_LEAF_THRESHOLD = 6**10
-
 _MAIN_PID = os.getpid()
 _FAIL_ONCE_TAKES: frozenset[tuple[int, ...]] = frozenset()  # test hook
+
+#: Deficit memo of a pool worker process, created by :func:`_start_worker`
+#: and gone with the pool.
+_worker_memo: dict[tuple[int, ...], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,24 @@ class CheckpointLedger:
         return header
 
 
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
 def _search_task(
     args: tuple[tuple[int, ...], bool, tuple[int, ...]],
+    memo: dict[tuple[int, ...], int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int | None, str | None]:
     takes, strict, prefix = args
+    if memo is None:
+        memo = _worker_memo
     try:
         if takes in _FAIL_ONCE_TAKES and os.getpid() != _MAIN_PID:
             raise RuntimeError("injected worker failure")
-        count = count_completions(Profile(takes), strict=strict, prefix=prefix)
+        count = count_completions(
+            Profile(takes), strict=strict, prefix=prefix, memo=memo
+        )
         return takes, prefix, count, None
     except Exception as exc:  # report back; the scheduler retries in-process
         return takes, prefix, None, f"{type(exc).__name__}: {exc}"
@@ -250,7 +261,7 @@ def count_tied(
     workers: int = 1,
     checkpoint: str | Path | None = None,
     strict: bool = False,
-    split_prefix: int | None = None,
+    split_prefix: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> TiedCountReport:
     """Exact number of season outcomes with all teams level on points.
@@ -259,9 +270,10 @@ def count_tied(
         size: team count (or :class:`LeagueSize`), 2..8.
         workers: search worker processes; any value yields the same total.
         checkpoint: optional ledger path for interruptable runs.
-        strict: disable mid-row overshoot pruning in the searches.
-        split_prefix: codes of team 2's row pinned per subtask when a
-            profile is split across workers (default: automatic).
+        strict: count with the recursive search, without pruning, instead
+            of the deficit DP.
+        split_prefix: codes of team 2's row pinned per subtask, splitting
+            each profile into ``6**split_prefix`` tasks (default: none).
         progress: callback ``(profiles_done, profiles_total)`` over the
             SEARCH class, including profiles restored from the ledger.
     """
@@ -304,7 +316,7 @@ def count_tied(
 
     try:
         search_total, done = _run_searches(
-            searches, recorded, n, workers, strict, split_prefix, ledger, progress
+            searches, recorded, workers, strict, split_prefix, ledger, progress
         )
     finally:
         if ledger is not None:
@@ -337,10 +349,9 @@ def count_tied(
 def _run_searches(
     searches: Sequence[tuple[tuple[int, ...], int]],
     recorded: dict[tuple[int, ...], int],
-    n: int,
     workers: int,
     strict: bool,
-    split_prefix: int | None,
+    split_prefix: int,
     ledger: CheckpointLedger | None,
     progress: Callable[[int, int], None] | None,
 ) -> tuple[int, int]:
@@ -354,10 +365,6 @@ def _run_searches(
     pending = [takes for takes, _ in searches if takes not in recorded]
     if not pending:
         return total, done
-
-    if split_prefix is None:
-        raw_leaves = 6 ** ((n - 1) * (n - 2) // 2)
-        split_prefix = 2 if workers > 1 and raw_leaves >= SPLIT_LEAF_THRESHOLD else 0
 
     tasks: list[tuple[tuple[int, ...], bool, tuple[int, ...]]] = []
     parts_needed: dict[tuple[int, ...], int] = {}
@@ -386,11 +393,14 @@ def _run_searches(
             if progress is not None:
                 progress(done, len(searches))
 
+    # One deficit memo serves every profile and target of this call; pool
+    # workers each keep their own for the life of the pool.
+    memo: dict[tuple[int, ...], int] = {}
     if workers == 1:
         for task in tasks:
-            consume(_search_task(task), 0)
+            consume(_search_task(task, memo), 0)
     else:
-        with Pool(workers) as pool:
+        with Pool(workers, initializer=_start_worker) as pool:
             for result in pool.imap_unordered(_search_task, tasks):
                 consume(result, 1)
 
@@ -398,7 +408,7 @@ def _run_searches(
         # One in-process retry per failed subtask; a second failure aborts.
         retry, failed = failed, []
         for task, _ in retry:
-            consume(_search_task(task), 0)
+            consume(_search_task(task, memo), 0)
         if failed:
             (takes, _, prefix), error = failed[0]
             raise LeagueTiesError(

@@ -1,12 +1,25 @@
-"""Recursive weighted counting of tied completions for one profile.
+"""Weighted counting of tied completions for one profile.
 
 Once the first team's takes are fixed, every opponent starts on the
-complementary points and all matches among teams 2..n remain open.  Those
-matches are searched row by row: team i's row assigns one pair code to each
-encounter with a higher-indexed team, encoded base 6 with the nearest
-opponent in the least significant digit.  When a row completes, that team's
-total is final and the branch survives only if it hits the target exactly;
-the branch weight doubles for every code with two home/away realisations.
+complementary points and all matches among teams 2..n remain open.  Team
+2's row (one pair code per encounter with a higher-indexed team) is
+enumerated code by code; a code that pushes either side past the target is
+skipped, and the row survives only if team 2 lands exactly on the target.
+
+From then on the count depends only on how many points each open team still
+needs, its *deficit*, and not on which team is which or on the target
+itself.  So the remaining teams are counted by a row DP keyed on the sorted
+tuple of their deficits: it enumerates the row of the team with the
+smallest deficit, closes it, and recurses on the re-sorted deficits of the
+rest.  A deficit multiset whose sum cannot be handed out by the open
+encounters (4 to 6 points each) counts zero without search.  One memo can
+serve every profile and every target of a league, because the key names
+no target.  Branch weights double for every code with two home/away
+realisations.
+
+``strict=True`` bypasses the DP and runs the plain recursive row search of
+:mod:`league_ties.kernels` with overshoot pruning off, an independent
+reference for differential tests.
 """
 
 from __future__ import annotations
@@ -17,6 +30,12 @@ from dataclasses import dataclass, replace
 from . import kernels
 from .profiles import Profile
 from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
+
+#: (points to the row owner, points to the opponent, multiplicity) per pair
+#: code, in ascending order of the owner's points.
+_CODES = tuple(
+    (a, b, mult) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
+)
 
 
 def row_code_digits(code: int, width: int) -> tuple[int, ...]:
@@ -102,18 +121,87 @@ def count_completions(
     *,
     strict: bool = False,
     prefix: tuple[int, ...] = (),
+    memo: dict[tuple[int, ...], int] | None = None,
 ) -> int:
     """Weighted number of tied completions of one profile.
 
-    Matches the full-sweep oracle on every input; the recursion merely skips
-    branches that cannot recover.  ``strict=True`` drops the mid-row
-    overshoot check and inspects totals only at row ends, which is slower
-    but useful for differential testing.  ``prefix`` pins the first codes of
-    team 2's row so one profile can be split into disjoint sub-searches
-    whose results add up to the whole.
+    Matches the full-sweep oracle on every input.  ``prefix`` pins the first
+    codes of team 2's row so one profile can be split into disjoint
+    sub-searches whose results add up to the whole.  ``memo`` maps sorted
+    deficit tuples to their completion counts; pass one dict to every call
+    of a league to share it across profiles and targets (by default each
+    call starts empty).  ``strict=True`` runs the recursive row search
+    without overshoot pruning instead of the DP: slower, but independent of
+    it, for differential testing.
     """
     state = initial_state(profile)
-    return kernels.completions_search(state.points, state.target, strict, tuple(prefix))
+    prefix = tuple(prefix)
+    if strict:
+        return kernels.completions_search(state.points, state.target, True, prefix)
+    k = len(state.points)
+    if len(prefix) > max(k - 1, 0):
+        raise ValueError(f"prefix of {len(prefix)} codes exceeds the first row")
+    if any(not 0 <= c <= 5 for c in prefix):
+        raise ValueError(f"prefix codes must be 0..5, got {prefix}")
+
+    deficits = [state.target - p for p in state.points]
+    need = deficits[0]
+    weight = 1
+    for j, code in enumerate(prefix, start=1):
+        a, b, mult = _CODES[code]
+        need -= a
+        deficits[j] -= b
+        weight *= mult
+    first = 1 + len(prefix)
+    if need < 0 or any(d < 0 for d in deficits[1:first]):
+        return 0
+    if memo is None:
+        memo = {}
+    return weight * _row(deficits, first, need, deficits[1:first], memo)
+
+
+def _row(
+    deficits: Sequence[int],
+    j: int,
+    need: int,
+    rest: list[int],
+    memo: dict[tuple[int, ...], int],
+) -> int:
+    """Completions of the open row of ``deficits[0]`` from opponent ``j`` on.
+
+    ``need`` is what the row owner still needs from opponents ``j..``, and
+    ``rest`` holds the deficits that opponents ``1..j-1`` keep once the row
+    closes.  Deliberately a module-level function: a nested recursive
+    closure would leave a reference cycle behind on every call.
+    """
+    if j == len(deficits):
+        return 0 if need else _solve(tuple(sorted(rest)), memo)
+    if need > 6 * (len(deficits) - j):
+        return 0
+    dj = deficits[j]
+    total = 0
+    for a, b, mult in _CODES:
+        if a > need:
+            break
+        if b <= dj:
+            rest.append(dj - b)
+            total += mult * _row(deficits, j + 1, need - a, rest, memo)
+            rest.pop()
+    return total
+
+
+def _solve(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+    """Weighted ways for teams with these (sorted) deficits to meet them exactly."""
+    m = len(deficits)
+    if m < 2:
+        return 1 if m == 0 or deficits[0] == 0 else 0
+    pairs = m * (m - 1) // 2
+    if not 4 * pairs <= sum(deficits) <= 6 * pairs:
+        return 0
+    total = memo.get(deficits)
+    if total is None:
+        total = memo[deficits] = _row(deficits, 1, deficits[0], [], memo)
+    return total
 
 
 def split_prefixes(profile: Profile, length: int) -> list[tuple[int, ...]]:

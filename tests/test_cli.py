@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from league_ties import cli
 from league_ties.cli import main
-from league_ties.engine import KNOWN_TOTALS
+from league_ties.engine import KNOWN_TOTALS, count_tied
 
 
 def run_cli(capsys, *argv):
@@ -48,11 +49,20 @@ class TestCount:
         assert code == 3
         assert "n=9" in err
 
-    def test_eight_teams_needs_long_flag(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--teams", "8")
-        assert code == 3
-        assert "--long" in err
-        assert str(KNOWN_TOTALS[8]) in err
+    def test_eight_teams_run_without_long_flag(self, capsys, monkeypatch):
+        # n=8 is a run of seconds now, so the CLI hands it straight to the
+        # counter; a stub stands in for the run itself.
+        seen = []
+
+        def fake_count_tied(n, **kwargs):
+            seen.append(n)
+            return count_tied(3)
+
+        monkeypatch.setattr(cli, "count_tied", fake_count_tied)
+        code, out, err = run_cli(capsys, "count", "--teams", "8")
+        assert code == 0
+        assert seen == [8]
+        assert err == ""
 
     def test_brute_ceiling_refused(self, capsys):
         code, _, err = run_cli(capsys, "count", "--teams", "6", "--method", "brute")

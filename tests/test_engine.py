@@ -1,5 +1,7 @@
 """The orchestrated count: totals, breakdowns, scheduling, failure handling."""
 
+import multiprocessing
+
 import pytest
 
 from league_ties import engine
@@ -81,6 +83,14 @@ class TestScheduling:
     @pytest.mark.parametrize("split", [0, 1, 2])
     def test_forced_profile_splitting(self, split):
         assert count_tied(5, workers=2, split_prefix=split).total == KNOWN_TOTALS[5]
+
+    def test_pool_run_is_silent_and_leaves_no_process(self, capfd, tmp_path):
+        # Benchmarks read results from stdout, so a pooled, ledgered count
+        # writes nothing there, and its workers are gone when it returns.
+        report = count_tied(5, workers=2, checkpoint=tmp_path / "n5.ledger")
+        assert report.total == KNOWN_TOTALS[5]
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr().out == ""
 
     def test_strict_search_agrees(self):
         for n in (3, 4, 5):

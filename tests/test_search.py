@@ -1,11 +1,13 @@
-"""The recursive completion counter against its oracles."""
+"""The completion counter against its oracles."""
 
+import gc
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from league_ties import kernels
 from league_ties.brute import count_completions_bruteforce
 from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
 from league_ties.search import (
@@ -163,6 +165,44 @@ class TestCountCompletions:
                     * count_completions(p)
                 )
         assert total == eulerian_count_bruteforce(4) == 152
+
+
+def search_profiles(n):
+    return [p for p in iter_profiles(n) if classify_profile(p) is ProfileClass.SEARCH]
+
+
+def assert_dp_matches_recursive_search(n):
+    """The deficit DP against the pruned recursive search, whole and per prefix."""
+    memo = {}
+    for p in search_profiles(n):
+        state = initial_state(p)
+        for prefix in [()] + split_prefixes(p, 1):
+            want = kernels.completions_search(state.points, state.target, False, prefix)
+            assert count_completions(p, prefix=prefix) == want, (p, prefix)
+            assert count_completions(p, prefix=prefix, memo=memo) == want, (p, prefix)
+
+
+class TestDeficitDP:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_recursive_search(self, n):
+        assert_dp_matches_recursive_search(n)
+
+    @pytest.mark.long
+    def test_matches_recursive_search_seven_teams(self):
+        assert_dp_matches_recursive_search(7)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The DP recurses through module-level functions only; a recursive
+        # closure would leave one reference cycle per call for the collector.
+        profiles = search_profiles(6)
+        gc.collect()
+        gc.disable()
+        try:
+            for p in profiles:
+                count_completions(p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPrefixSplitting:
