@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .scoring import DOUBLED_TAKES, TAKE_VALUES, complement
@@ -87,18 +88,8 @@ def iter_profiles(n: int) -> Iterator[Profile]:
     """
     if n < 2:
         raise ValueError(f"a league needs at least 2 teams, got {n}")
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[Profile]:
-        if remaining == 0:
-            yield Profile(tuple(prefix))
-            return
-        for v in _DESCENDING_TAKES:
-            if v <= cap:
-                prefix.append(v)
-                yield from rec(remaining - 1, v, prefix)
-                prefix.pop()
-
-    yield from rec(n - 1, 6, [])
+    for takes in combinations_with_replacement(_DESCENDING_TAKES, n - 1):
+        yield Profile(takes)
 
 
 def representation_factor(profile: Profile) -> int:
@@ -125,8 +116,10 @@ def classify_profile(profile: Profile) -> ProfileClass:
     points, while each of the L such matches hands out 2 or 3.  For n >= 5
     the bounds sharpen to [2L+3, 3L-3] (a tied table needs at least three
     non-draws and at least three draws among those matches once the first
-    team sits in the open interval); the sharpened form is not established
-    for n <= 4, so the plain [2L, 3L] is used there.
+    team sits in the open interval); the sharpened form is false for
+    n <= 4, where it would prune the live profile (4, 1) at n = 3 and
+    (6, 2, 0), (6, 1, 1), (4, 4, 0) and (4, 3, 1) at n = 4, so the plain
+    [2L, 3L] is used there.
     """
     n = profile.n
     p = profile.taken

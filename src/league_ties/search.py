@@ -17,6 +17,14 @@ serve every profile and every target of a league, because the key names
 no target.  Branch weights double for every code with two home/away
 realisations.
 
+The last three encounters of a row are not enumerated code by code: they
+are read from tail tables built once at import, which list every
+assignment of up to three pair codes by the points it gives the row owner,
+sorted by the points it gives the opponents.  The same 4-to-6-points check,
+applied to the opponents once the row closes, gives a window for those
+points, so the entries outside it are passed over before any deficit tuple
+is built; the memo and its key are unchanged.
+
 ``strict=True`` bypasses the DP and runs the plain recursive row search of
 :mod:`league_ties.kernels` with overshoot pruning off, an independent
 reference for differential tests.
@@ -26,6 +34,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import product
+from math import prod
+from operator import gt, sub
 
 from . import kernels
 from .profiles import Profile
@@ -36,6 +47,31 @@ from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
 _CODES = tuple(
     (a, b, mult) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
 )
+
+#: Widest row end closed from a table instead of code by code.
+_TAIL_WIDTH = 3
+
+
+def _tail_table(width: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]:
+    """Every assignment of ``width`` pair codes, grouped by the owner's points.
+
+    Entry ``k`` lists the assignments worth ``k`` points to the row owner as
+    (points to the opponents in total, points to each opponent, weight),
+    in ascending order of the total.
+    """
+    by_need: list[list[tuple[int, tuple[int, ...], int]]] = [
+        [] for _ in range(6 * width + 1)
+    ]
+    for codes in product(_CODES, repeat=width):
+        takes = tuple(b for _, b, _ in codes)
+        by_need[sum(a for a, _, _ in codes)].append(
+            (sum(takes), takes, prod(mult for _, _, mult in codes))
+        )
+    return tuple(tuple(sorted(entries)) for entries in by_need)
+
+
+#: ``_TAILS[w][k]``: the tail table of width ``w`` for an owner needing ``k``.
+_TAILS = tuple(_tail_table(w) for w in range(_TAIL_WIDTH + 1))
 
 
 def row_code_digits(code: int, width: int) -> tuple[int, ...]:
@@ -157,7 +193,20 @@ def count_completions(
         return 0
     if memo is None:
         memo = {}
-    return weight * _row(deficits, first, need, deficits[1:first], memo)
+    lo, hi = _window(deficits)
+    return weight * _row(deficits, first, need, deficits[1:first], lo, hi, memo)
+
+
+def _window(deficits: Sequence[int]) -> tuple[int, int]:
+    """Bounds on what the opponents may take in total from the row of ``deficits[0]``.
+
+    Once the row closes, the opponents must meet what is left of their
+    deficits among themselves, 4 to 6 points per encounter.
+    """
+    m = len(deficits) - 1
+    pairs = m * (m - 1) // 2
+    owed = sum(deficits) - deficits[0]
+    return owed - 6 * pairs, owed - 4 * pairs
 
 
 def _row(
@@ -165,19 +214,37 @@ def _row(
     j: int,
     need: int,
     rest: list[int],
+    lo: int,
+    hi: int,
     memo: dict[tuple[int, ...], int],
 ) -> int:
     """Completions of the open row of ``deficits[0]`` from opponent ``j`` on.
 
     ``need`` is what the row owner still needs from opponents ``j..``, and
     ``rest`` holds the deficits that opponents ``1..j-1`` keep once the row
-    closes.  Deliberately a module-level function: a nested recursive
-    closure would leave a reference cycle behind on every call.
+    closes.  The opponents ``j..`` must take between ``lo`` and ``hi``
+    points from the row in total.  The last ``_TAIL_WIDTH`` encounters are
+    closed in one pass over their tail table.  Deliberately a module-level
+    function: a nested recursive closure would leave a reference cycle
+    behind on every call.
     """
-    if j == len(deficits):
-        return 0 if need else _solve(tuple(sorted(rest)), memo)
-    if need > 6 * (len(deficits) - j):
+    width = len(deficits) - j
+    if need > 6 * width:
         return 0
+    if width <= _TAIL_WIDTH:
+        tail = deficits[j:]
+        total = 0
+        for taken, takes, mult in _TAILS[width][need]:
+            if taken < lo:
+                continue
+            if taken > hi:
+                break
+            if any(map(gt, takes, tail)):
+                continue
+            left = rest + list(map(sub, tail, takes))
+            left.sort()
+            total += mult * _solve(tuple(left), memo)
+        return total
     dj = deficits[j]
     total = 0
     for a, b, mult in _CODES:
@@ -185,7 +252,7 @@ def _row(
             break
         if b <= dj:
             rest.append(dj - b)
-            total += mult * _row(deficits, j + 1, need - a, rest, memo)
+            total += mult * _row(deficits, j + 1, need - a, rest, lo - b, hi - b, memo)
             rest.pop()
     return total
 
@@ -195,12 +262,15 @@ def _solve(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
     m = len(deficits)
     if m < 2:
         return 1 if m == 0 or deficits[0] == 0 else 0
-    pairs = m * (m - 1) // 2
-    if not 4 * pairs <= sum(deficits) <= 6 * pairs:
-        return 0
     total = memo.get(deficits)
     if total is None:
-        total = memo[deficits] = _row(deficits, 1, deficits[0], [], memo)
+        # Rows closed from a tail table already passed this check as their
+        # window; only a direct call can fail it.
+        pairs = m * (m - 1) // 2
+        if not 4 * pairs <= sum(deficits) <= 6 * pairs:
+            return 0
+        lo, hi = _window(deficits)
+        total = memo[deficits] = _row(deficits, 1, deficits[0], [], lo, hi, memo)
     return total
 
 

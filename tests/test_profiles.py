@@ -18,6 +18,7 @@ from league_ties.profiles import (
     representation_factor,
 )
 from league_ties.scoring import TAKE_VALUES, complement
+from league_ties.search import count_completions
 
 profiles_st = st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.lists(
@@ -159,6 +160,31 @@ class TestClassification:
         for p in iter_profiles(n):
             if classify_profile(p) in PRUNED_CLASSES:
                 assert count_completions_bruteforce(p.takes, n) == 0, p.takes
+
+    @pytest.mark.parametrize("n, pruned", [(6, 204), (7, 358), (8, 573)])
+    def test_pruned_profiles_have_no_dp_completions(self, n, pruned):
+        memo = {}
+        checked = 0
+        for p in iter_profiles(n):
+            if classify_profile(p) in PRUNED_CLASSES:
+                assert count_completions(p, memo=memo) == 0, p.takes
+                checked += 1
+        assert checked == pruned
+
+    @pytest.mark.parametrize(
+        "takes, completions",
+        [((4, 1), 2), ((6, 2, 0), 1), ((6, 1, 1), 8), ((4, 4, 0), 8), ((4, 3, 1), 12)],
+    )
+    def test_sharpened_spread_bound_fails_below_five_teams(self, takes, completions):
+        # These live profiles fall outside [2L+3, 3L-3], so the sharpened
+        # bound used from n = 5 on would wrongly prune them at n = 3 and 4.
+        p = Profile(takes)
+        rest_matches = (p.n - 1) * (p.n - 2)
+        spread = (p.n - 1) * p.taken - p.conceded
+        assert not 2 * rest_matches + 3 <= spread <= 3 * rest_matches - 3
+        assert classify_profile(p) is ProfileClass.SEARCH
+        assert count_completions(p) == completions
+        assert count_completions_bruteforce(takes, p.n) == completions
 
     def test_specials_are_consistent_with_sweep(self):
         # The all-draw profile completes exactly one way; a draw-free

@@ -1,7 +1,9 @@
 """The completion counter against its oracles."""
 
 import gc
+from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,15 @@ from hypothesis import strategies as st
 
 from league_ties import kernels
 from league_ties.brute import count_completions_bruteforce
+from league_ties.engine import count_tied
+from league_ties.eulerian import eulerian_count
 from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
 from league_ties.search import (
+    _CODES,
+    _TAIL_WIDTH,
+    _TAILS,
     SearchState,
+    _solve,
     apply_row,
     count_completions,
     initial_state,
@@ -203,6 +211,75 @@ class TestDeficitDP:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "run", [lambda: count_tied(6), lambda: list(iter_profiles(6))],
+        ids=["count_tied", "iter_profiles"],
+    )
+    def test_count_leaves_no_cyclic_garbage(self, run):
+        # A recursive generator closure in the profile enumeration would
+        # leave a reference cycle behind on every call.
+        run()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestTailTables:
+    @pytest.mark.parametrize("width", range(_TAIL_WIDTH + 1))
+    def test_every_assignment_once(self, width):
+        entries = [e for by_need in _TAILS[width] for e in by_need]
+        assert len(entries) == 6**width
+        assert sum(mult for _, _, mult in entries) == 9**width
+        owner_points = {b: a for a, b, _ in _CODES}
+        for need, by_need in enumerate(_TAILS[width]):
+            for taken, takes, _ in by_need:
+                assert sum(owner_points[b] for b in takes) == need
+                assert sum(takes) == taken
+            totals = [taken for taken, _, _ in by_need]
+            assert totals == sorted(totals)
+
+
+def fixed_point_free_slice(n):
+    """n! [x^n] of e^(-2x-x^2)/(1-2x), with exact fractions.
+
+    A tie on 2n-1 points leaves exactly n decisive matches, and every team
+    wins one and loses one: winner to loser is a fixed-point-free
+    permutation.  Each win picks its leg (home or away), except that the two
+    wins of a 2-cycle must take different legs, hence cycle weights 2^k for
+    k >= 3 and 2 for k = 2.
+    """
+    # h = exp(-2x - x^2) satisfies h' = (-2 - 2x) h.
+    h = [Fraction(1), Fraction(-2)]
+    for k in range(1, n):
+        h.append((-2 * h[k] - 2 * h[k - 1]) / (k + 1))
+    coeff = sum(h[i] * 2 ** (n - i) for i in range(n + 1))
+    return int(coeff * factorial(n))
+
+
+class TestClosedFormSlices:
+    """Level targets whose count is known in closed form, straight through the DP."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_all_draw_level(self, n):
+        assert _solve((2 * n - 2,) * n, {}) == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_draw_free_level_is_eulerian(self, n):
+        assert _solve((3 * n - 3,) * n, {}) == eulerian_count(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_above_all_draw_level(self, n):
+        assert _solve((2 * n - 1,) * n, {}) == fixed_point_free_slice(n)
+
+    def test_fixed_point_free_series(self):
+        assert [fixed_point_free_slice(n) for n in range(2, 9)] == [
+            2, 16, 108, 1088, 13240, 184896, 2956688,
+        ]
 
 
 class TestPrefixSplitting:
