@@ -1,11 +1,22 @@
-"""Ground-truth counters by full enumeration.
+"""Ground-truth counters by full enumeration, and a plain reference search.
 
-Two oracles live here.  The season sweep walks all ``3**M`` base-3 season
+Three oracles live here.  The season sweep walks all ``3**M`` base-3 season
 encodings and counts the outcomes with every team level on points.  The
 completion sweep walks all pair-code assignments of the matches among the
-non-leading teams for one fixed take vector of the first team.  Both are
-deliberately free of the symmetry and pruning arguments used by the
-optimised counter, which is exactly what makes them useful as oracles.
+non-leading teams for one fixed take vector of the first team.  Both
+sweeps are deliberately free of the symmetry and pruning arguments used by
+the optimised counter, which is exactly what makes them useful as oracles.
+
+The third is :func:`completions_search`, a row-by-row recursive search of
+the same completions that only cuts a branch once some team overshoots the
+target.  It shares no code with the deficit DP of
+:mod:`league_ties.search` and is fast enough to check it on every SEARCH
+profile through n = 6, where the completion sweep stops at n = 5.  The
+package itself never calls it; it serves the test suite.
+
+All values are exact Python integers, so nothing can overflow.  The sweep
+loops avoid attribute lookups and update their bookkeeping incrementally
+instead of re-deriving it per step.
 """
 
 from __future__ import annotations
@@ -13,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from multiprocessing import Pool
 
-from . import kernels
 from .errors import SizeRefusedError
 from .scoring import (
     LeagueSize,
@@ -29,6 +39,191 @@ BRUTE_CEILING = 5
 
 #: Default number of encodings per work chunk.
 DEFAULT_CHUNK = 3**10
+
+# Points of pair code c for the two sides, and the code's multiplicity.
+_PAIR_A = (0, 1, 2, 3, 4, 6)
+_PAIR_B = (6, 4, 2, 3, 1, 0)
+_PAIR_MULT = (1, 2, 1, 2, 2, 1)
+
+# Odometer deltas for bumping a pair code c -> c+1 (c = 0..4).
+_STEP_A = (1, 1, 1, 1, 2)
+_STEP_B = (-2, -2, 1, -2, -1)
+_STEP_DBL = (1, -1, 1, 0, -1)  # change in the number of doubled digits
+
+
+def count_tied_range(n: int, start: int, stop: int) -> int:
+    """Tied outcomes among base-3 season encodings in [start, stop).
+
+    Digit ``i`` of an encoding is the result of match ``i`` in the canonical
+    home-major order; an outcome is tied when all teams finish equal.
+    """
+    if not 2 <= n <= 9:
+        raise ValueError(f"season sweep supports 2 <= n <= 9, got {n}")
+    matches = [(h, a) for h in range(n) for a in range(n) if a != h]
+    m = len(matches)
+    space = 3**m
+    if not 0 <= start <= stop <= space:
+        raise ValueError(f"bad encoding range [{start}, {stop}) for n={n}")
+    if start == stop:
+        return 0
+
+    digits = [0] * m
+    points = [0] * n
+    e = start
+    for i in range(m):
+        e, r = divmod(e, 3)
+        digits[i] = r
+        h, a = matches[i]
+        if r == 0:
+            points[a] += 3
+        elif r == 1:
+            points[h] += 1
+            points[a] += 1
+        else:
+            points[h] += 3
+
+    count = 0
+    remaining = stop - start
+    while True:
+        if min(points) == max(points):
+            count += 1
+        remaining -= 1
+        if remaining == 0:
+            return count
+        i = 0
+        while True:
+            h, a = matches[i]
+            r = digits[i]
+            if r == 0:  # away win -> draw
+                digits[i] = 1
+                points[h] += 1
+                points[a] -= 2
+                break
+            if r == 1:  # draw -> home win
+                digits[i] = 2
+                points[h] += 2
+                points[a] -= 1
+                break
+            digits[i] = 0  # home win -> away win, carry
+            points[h] -= 3
+            points[a] += 3
+            i += 1
+
+
+def completions_sweep(base: tuple[int, ...], target: int) -> int:
+    """Weighted full enumeration over the pair encounters among ``len(base)`` teams.
+
+    ``base[i]`` is team ``i``'s points before any of these encounters.  Every
+    one of the ``6**(k*(k-1)/2)`` code assignments is visited (no pruning of
+    any kind); an assignment with all teams exactly at ``target`` contributes
+    the product of its codes' multiplicities.
+    """
+    k = len(base)
+    if k > 8:
+        raise ValueError(f"completion sweep supports at most 8 teams, got {k}")
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    m = len(pairs)
+    points = list(base)
+    if m == 0:
+        return 1 if all(p == target for p in points) else 0
+
+    codes = [0] * m
+    for _, j in pairs:  # code 0 gives (0, 6)
+        points[j] += 6
+    doubled = 0
+    count = 0
+    remaining = 6**m
+    while True:
+        if min(points) == max(points) == target:
+            count += 1 << doubled
+        remaining -= 1
+        if remaining == 0:
+            return count
+        idx = 0
+        while True:
+            c = codes[idx]
+            i, j = pairs[idx]
+            if c == 5:  # wrap (6,0) -> (0,6), carry; multiplicity unchanged
+                codes[idx] = 0
+                points[i] -= 6
+                points[j] += 6
+                idx += 1
+            else:
+                codes[idx] = c + 1
+                points[i] += _STEP_A[c]
+                points[j] += _STEP_B[c]
+                doubled += _STEP_DBL[c]
+                break
+
+
+def completions_search(
+    base: tuple[int, ...],
+    target: int,
+    prefix: tuple[int, ...] = (),
+) -> int:
+    """Weighted completion count by row-wise recursive search.
+
+    Teams are indexed 0..k-1 (k = ``len(base)``); team ``i``'s row assigns
+    pair codes against teams i+1..k-1 in order.  Once a team's row is
+    complete its total is final and must equal ``target`` exactly, and the
+    very last team is checked after the last row.  Each doubled code met
+    along the way multiplies the branch weight by 2.  A branch is abandoned
+    as soon as either side of a freshly assigned code exceeds ``target``
+    (points never decrease, so this is sound).
+
+    ``prefix`` fixes the first codes of team 0's row (against teams 1, 2,
+    ...), so summing over all prefixes of one length partitions the count.
+    """
+    k = len(base)
+    if k > 8:
+        raise ValueError(f"completion search supports at most 8 teams, got {k}")
+    if len(prefix) > max(k - 1, 0):
+        raise ValueError(f"prefix of {len(prefix)} codes exceeds the first row")
+    if any(not 0 <= c <= 5 for c in prefix):
+        raise ValueError(f"prefix codes must be 0..5, got {prefix}")
+    points = list(base)
+    if k == 1:
+        return 1 if points[0] == target else 0
+
+    weight = 1
+    for d, code in enumerate(prefix):
+        points[0] += _PAIR_A[code]
+        points[d + 1] += _PAIR_B[code]
+        if _PAIR_MULT[code] == 2:
+            weight <<= 1
+        if points[0] > target or points[d + 1] > target:
+            return 0
+    return _search_row(points, target, 0, 1 + len(prefix), weight)
+
+
+def _search_row(points: list[int], target: int, i: int, j: int, w: int) -> int:
+    """Completions of team ``i``'s row from opponent ``j`` on, at branch weight ``w``.
+
+    Deliberately a module-level function: a nested recursive closure would
+    leave a reference cycle behind on every call.
+    """
+    k = len(points)
+    if j == k:  # team i's row complete: its total is final
+        if points[i] != target:
+            return 0
+        if i + 2 == k:
+            return w if points[k - 1] == target else 0
+        return _search_row(points, target, i + 1, i + 2, w)
+    total = 0
+    pi = points[i]
+    pj = points[j]
+    for code in range(6):
+        na = pi + _PAIR_A[code]
+        nb = pj + _PAIR_B[code]
+        if na > target or nb > target:
+            continue
+        points[i] = na
+        points[j] = nb
+        mult = _PAIR_MULT[code]
+        total += _search_row(points, target, i, j + 1, w << 1 if mult == 2 else w)
+    points[i] = pi
+    points[j] = pj
+    return total
 
 
 def encode_outcome(results: Sequence[int], size: LeagueSize | int) -> int:
@@ -72,7 +267,7 @@ def tally_points(results: Sequence[int], size: LeagueSize | int) -> tuple[int, .
 
 def _count_range_task(args: tuple[int, int, int]) -> int:
     n, start, stop = args
-    return kernels.count_tied_range(n, start, stop)
+    return count_tied_range(n, start, stop)
 
 
 def count_tied_bruteforce(
@@ -139,4 +334,4 @@ def count_completions_bruteforce(
         )
     takes = _check_takes(takes, size.n)
     base = tuple(complement(t) for t in takes)
-    return kernels.completions_sweep(base, sum(takes))
+    return completions_sweep(base, sum(takes))

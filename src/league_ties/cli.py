@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: count, verify, profiles, eulerian, resume, bench.  Exit codes:
+Subcommands: count, verify, profiles, eulerian, resume.  Exit codes:
 0 success, 1 internal failure or result mismatch, 2 invalid arguments or
 configuration, 3 refused league size.
 """
@@ -91,12 +91,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     report = None
     if args.method in ("optimized", "both"):
-        report = count_tied(
-            n,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            strict=args.strict_search,
-        )
+        report = count_tied(n, workers=args.workers, checkpoint=args.checkpoint)
 
     if args.method == "both" and report is not None and brute_total != report.total:
         print(
@@ -211,14 +206,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_results, run_benchmarks
-
-    results = run_benchmarks(teams=args.teams, repeat=args.repeat)
-    print(format_results(results))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="league-ties",
@@ -249,20 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH", help="ledger file for resumable runs")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
-        "--strict-search",
-        action="store_true",
-        help="count with the unpruned recursive search instead of the deficit DP "
-        "(slower; for differential testing)",
-    )
-    p.add_argument(
         "--allow-large-brute",
         action="store_true",
         help=f"lift the n <= {BRUTE_CEILING} brute-force ceiling",
-    )
-    p.add_argument(
-        "--long",
-        action="store_true",
-        help="accepted for compatibility; no league size needs it any more",
     )
     p.set_defaults(func=cmd_count)
 
@@ -291,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_workers(p)
     p.set_defaults(func=cmd_resume)
-
-    p = sub.add_parser("bench", help="compare the compiled and pure kernels")
-    p.add_argument("--teams", type=int, default=5, metavar="N")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

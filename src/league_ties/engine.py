@@ -10,17 +10,13 @@ in this process, or one per pool worker that lasts as long as the pool.
 
 A checkpoint ledger (one header line, then one JSON record per finished
 profile) makes long runs resumable: on restart, profiles already on record
-are not searched again.  All counts are carried as Python integers end to
-end; the default search is pure Python and the compiled kernels (strict
-mode) raise instead of wrapping, so a reported total is exact or the run
-fails loudly.
+are not searched again.  All counts are exact Python integers end to end,
+so no total can overflow.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import time
 import warnings
 from collections.abc import Callable, Sequence
@@ -59,9 +55,6 @@ KNOWN_TOTALS: dict[int, int] = {
     8: 3439079361325736243,
 }
 
-_MAIN_PID = os.getpid()
-_FAIL_ONCE_TAKES: frozenset[tuple[int, ...]] = frozenset()  # test hook
-
 #: Deficit memo of a pool worker process, created by :func:`_start_worker`
 #: and gone with the pool.
 _worker_memo: dict[tuple[int, ...], int] | None = None
@@ -95,36 +88,24 @@ class TiedCountReport:
         }
 
 
-def _options_digest(n: int, strict: bool) -> str:
-    blob = json.dumps({"n": n, "strict": strict}, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 class CheckpointLedger:
     """Append-only per-profile record of completion counts.
 
-    Line 1 is a header pinning the league size and an options digest; each
-    further line records one searched profile.  Only the final line may ever
-    be damaged (a killed writer), so a corrupt trailing record is dropped
-    with a warning while damage anywhere else is refused as a stale or
-    foreign file.
+    Line 1 is a header pinning the league size (headers of older versions
+    also carry a search-mode flag and an options digest; neither is read);
+    each further line records one searched profile.  Only the final line may
+    ever be damaged (a killed writer), so a corrupt trailing record is
+    dropped with a warning while damage anywhere else is refused as a stale
+    or foreign file.
     """
 
-    def __init__(self, path: str | Path, n: int, strict: bool):
+    def __init__(self, path: str | Path, n: int):
         self.path = Path(path)
         self.n = n
-        self.strict = strict
-        self.digest = _options_digest(n, strict)
         self._handle = None
 
     def header_line(self) -> str:
-        header = {
-            "kind": "header",
-            "n": self.n,
-            "version": ENGINE_VERSION,
-            "strict": self.strict,
-            "digest": self.digest,
-        }
+        header = {"kind": "header", "n": self.n, "version": ENGINE_VERSION}
         return json.dumps(header, sort_keys=True)
 
     def load(self) -> dict[tuple[int, ...], int]:
@@ -139,7 +120,7 @@ class CheckpointLedger:
             header = json.loads(lines[0])
         except (json.JSONDecodeError, IndexError) as exc:
             raise CheckpointError(f"{self.path}: unreadable header: {exc}") from None
-        for key, want in (("kind", "header"), ("n", self.n), ("digest", self.digest)):
+        for key, want in (("kind", "header"), ("n", self.n)):
             if header.get(key) != want:
                 raise CheckpointError(
                     f"{self.path}: header {key}={header.get(key)!r} does not match "
@@ -238,18 +219,14 @@ def _start_worker() -> None:
 
 
 def _search_task(
-    args: tuple[tuple[int, ...], bool, tuple[int, ...]],
+    args: tuple[tuple[int, ...], tuple[int, ...]],
     memo: dict[tuple[int, ...], int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int | None, str | None]:
-    takes, strict, prefix = args
+    takes, prefix = args
     if memo is None:
         memo = _worker_memo
     try:
-        if takes in _FAIL_ONCE_TAKES and os.getpid() != _MAIN_PID:
-            raise RuntimeError("injected worker failure")
-        count = count_completions(
-            Profile(takes), strict=strict, prefix=prefix, memo=memo
-        )
+        count = count_completions(Profile(takes), prefix=prefix, memo=memo)
         return takes, prefix, count, None
     except Exception as exc:  # report back; the scheduler retries in-process
         return takes, prefix, None, f"{type(exc).__name__}: {exc}"
@@ -260,7 +237,6 @@ def count_tied(
     *,
     workers: int = 1,
     checkpoint: str | Path | None = None,
-    strict: bool = False,
     split_prefix: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> TiedCountReport:
@@ -270,8 +246,6 @@ def count_tied(
         size: team count (or :class:`LeagueSize`), 2..8.
         workers: search worker processes; any value yields the same total.
         checkpoint: optional ledger path for interruptable runs.
-        strict: count with the recursive search, without pruning, instead
-            of the deficit DP.
         split_prefix: codes of team 2's row pinned per subtask, splitting
             each profile into ``6**split_prefix`` tasks (default: none).
         progress: callback ``(profiles_done, profiles_total)`` over the
@@ -301,7 +275,7 @@ def count_tied(
     recorded: dict[tuple[int, ...], int] = {}
     resumed_from: str | None = None
     if checkpoint is not None:
-        ledger = CheckpointLedger(checkpoint, n, strict)
+        ledger = CheckpointLedger(checkpoint, n)
         recorded = ledger.load()
         known = {takes for takes, _ in searches}
         foreign = set(recorded) - known
@@ -316,7 +290,7 @@ def count_tied(
 
     try:
         search_total, done = _run_searches(
-            searches, recorded, workers, strict, split_prefix, ledger, progress
+            searches, recorded, workers, split_prefix, ledger, progress
         )
     finally:
         if ledger is not None:
@@ -350,7 +324,6 @@ def _run_searches(
     searches: Sequence[tuple[tuple[int, ...], int]],
     recorded: dict[tuple[int, ...], int],
     workers: int,
-    strict: bool,
     split_prefix: int,
     ledger: CheckpointLedger | None,
     progress: Callable[[int, int], None] | None,
@@ -366,21 +339,21 @@ def _run_searches(
     if not pending:
         return total, done
 
-    tasks: list[tuple[tuple[int, ...], bool, tuple[int, ...]]] = []
+    tasks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     parts_needed: dict[tuple[int, ...], int] = {}
     for takes in pending:
         prefixes = split_prefixes(Profile(takes), split_prefix)
         parts_needed[takes] = len(prefixes)
-        tasks.extend((takes, strict, prefix) for prefix in prefixes)
+        tasks.extend((takes, prefix) for prefix in prefixes)
 
     partial: dict[tuple[int, ...], int] = {takes: 0 for takes in pending}
-    failed: list[tuple[tuple[tuple[int, ...], bool, tuple[int, ...]], str]] = []
+    failed: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], str]] = []
 
     def consume(result, worker_id: int) -> None:
         nonlocal total, done
         takes, prefix, count, error = result
         if error is not None:
-            failed.append(((takes, strict, prefix), error))
+            failed.append(((takes, prefix), error))
             return
         partial[takes] += count
         parts_needed[takes] -= 1
@@ -410,7 +383,7 @@ def _run_searches(
         for task, _ in retry:
             consume(_search_task(task, memo), 0)
         if failed:
-            (takes, _, prefix), error = failed[0]
+            (takes, prefix), error = failed[0]
             raise LeagueTiesError(
                 f"search failed twice for profile {takes} (prefix {prefix}): {error}"
             )
@@ -429,6 +402,5 @@ def resume(
         int(header["n"]),
         workers=workers,
         checkpoint=checkpoint,
-        strict=bool(header.get("strict", False)),
         progress=progress,
     )

@@ -25,20 +25,17 @@ applied to the opponents once the row closes, gives a window for those
 points, so the entries outside it are passed over before any deficit tuple
 is built; the memo and its key are unchanged.
 
-``strict=True`` bypasses the DP and runs the plain recursive row search of
-:mod:`league_ties.kernels` with overshoot pruning off, an independent
-reference for differential tests.
+The test suite checks this DP against :func:`league_ties.brute.completions_search`,
+a plain recursive row search that shares no code with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from operator import gt, sub
 
-from . import kernels
 from .profiles import Profile
 from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
 
@@ -74,88 +71,9 @@ def _tail_table(width: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...
 _TAILS = tuple(_tail_table(w) for w in range(_TAIL_WIDTH + 1))
 
 
-def row_code_digits(code: int, width: int) -> tuple[int, ...]:
-    """Base-6 digits of a row code, nearest opponent first."""
-    if not 0 <= code < 6**width:
-        raise ValueError(f"row code {code} out of range for width {width}")
-    digits = []
-    for _ in range(width):
-        code, d = divmod(code, 6)
-        digits.append(d)
-    return tuple(digits)
-
-
-def row_code_from_digits(digits: Sequence[int]) -> int:
-    """Inverse of :func:`row_code_digits`."""
-    value = 0
-    for k, d in enumerate(digits):
-        if not 0 <= d <= 5:
-            raise ValueError(f"bad pair code {d!r} in row digits")
-        value += d * 6**k
-    return value
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Snapshot of the search between rows.
-
-    ``points`` holds the running totals of teams 2..n (index 0 = team 2);
-    ``level`` is the team whose row is assigned next.  ``weight`` is the
-    product of multiplicities collected so far, always a power of two.
-    """
-
-    target: int
-    points: tuple[int, ...]
-    level: int
-    weight: int = 1
-
-    @property
-    def n(self) -> int:
-        return len(self.points) + 1
-
-
-def apply_row(state: SearchState, row: Sequence[int]) -> SearchState | None:
-    """Apply one full row of pair codes; ``None`` when the branch is dead.
-
-    The row belongs to team ``state.level`` and must hold one code per
-    higher-indexed team.  Dead means: the row owner's now-final total missed
-    the target, or some opponent was pushed beyond it.
-    """
-    n = state.n
-    i = state.level
-    if not 2 <= i < n:
-        raise ValueError(f"level {i} out of range for n={n}")
-    if len(row) != n - i:
-        raise ValueError(f"team {i}'s row needs {n - i} codes, got {len(row)}")
-    points = list(state.points)
-    weight = state.weight
-    own = i - 2
-    for k, code in enumerate(row):
-        a, b = PAIR_POINTS[code]
-        points[own] += a
-        points[own + 1 + k] += b
-        if PAIR_MULTIPLICITY[code] == 2:
-            weight <<= 1
-    if points[own] != state.target:
-        return None
-    if any(p > state.target for p in points):
-        return None
-    return replace(state, points=tuple(points), level=i + 1, weight=weight)
-
-
-def initial_state(profile: Profile) -> SearchState:
-    """Search state before any row is assigned: opponents on their complements."""
-    return SearchState(
-        target=profile.taken,
-        points=tuple(complement(t) for t in profile.takes),
-        level=2,
-    )
-
-
 def count_completions(
     profile: Profile,
     *,
-    strict: bool = False,
     prefix: tuple[int, ...] = (),
     memo: dict[tuple[int, ...], int] | None = None,
 ) -> int:
@@ -166,21 +84,17 @@ def count_completions(
     sub-searches whose results add up to the whole.  ``memo`` maps sorted
     deficit tuples to their completion counts; pass one dict to every call
     of a league to share it across profiles and targets (by default each
-    call starts empty).  ``strict=True`` runs the recursive row search
-    without overshoot pruning instead of the DP: slower, but independent of
-    it, for differential testing.
+    call starts empty).
     """
-    state = initial_state(profile)
     prefix = tuple(prefix)
-    if strict:
-        return kernels.completions_search(state.points, state.target, True, prefix)
-    k = len(state.points)
-    if len(prefix) > max(k - 1, 0):
+    if len(prefix) > max(len(profile.takes) - 1, 0):
         raise ValueError(f"prefix of {len(prefix)} codes exceeds the first row")
     if any(not 0 <= c <= 5 for c in prefix):
         raise ValueError(f"prefix codes must be 0..5, got {prefix}")
 
-    deficits = [state.target - p for p in state.points]
+    # Each opponent starts on the complement of what the first team took
+    # from it, and must end on the first team's total.
+    deficits = [profile.taken - complement(t) for t in profile.takes]
     need = deficits[0]
     weight = 1
     for j, code in enumerate(prefix, start=1):

@@ -69,18 +69,25 @@ class TestCount:
         assert code == 3
         assert "--allow-large-brute" in err
 
-    def test_strict_search_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "count", "--teams", "4", "--strict-search", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["total"] == "1083"
-
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("LEAGUE_TIES_WORKERS", "2")
         code, out, _ = run_cli(capsys, "count", "--teams", "3", "--format", "json")
         assert code == 0
         assert json.loads(out)["workers"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--teams", "4", "--strict-search"],
+            ["count", "--teams", "4", "--long"],
+            ["bench"],
+        ],
+        ids=["count-strict-search", "count-long", "bench"],
+    )
+    def test_removed_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
     def test_invalid_workers(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -159,10 +166,3 @@ class TestResume:
         assert code == 2
         assert "header" in err
 
-
-class TestBench:
-    def test_smoke(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--teams", "4", "--repeat", "1")
-        assert code == 0
-        assert "season sweep" in out
-        assert "completion search" in out

@@ -1,6 +1,7 @@
 """The orchestrated count: totals, breakdowns, scheduling, failure handling."""
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -92,10 +93,6 @@ class TestScheduling:
         assert multiprocessing.active_children() == []
         assert capfd.readouterr().out == ""
 
-    def test_strict_search_agrees(self):
-        for n in (3, 4, 5):
-            assert count_tied(n, strict=True).total == KNOWN_TOTALS[n]
-
     def test_progress_callback(self):
         seen = []
         report = count_tied(5, progress=lambda done, total: seen.append((done, total)))
@@ -103,15 +100,28 @@ class TestScheduling:
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
     def test_failed_worker_tasks_are_retried(self, monkeypatch):
-        # Poison one profile so it fails inside worker processes; the
-        # in-process retry must still deliver the exact total.
+        # Poison one profile so it fails inside worker processes (forked,
+        # so they inherit the patch); the in-process retry must still
+        # deliver the exact total, and it must run for that profile alone.
         target = next(
             p.takes
             for p in iter_profiles(5)
             if classify_profile(p) is ProfileClass.SEARCH
         )
-        monkeypatch.setattr(engine, "_FAIL_ONCE_TAKES", frozenset({target}))
+        main_pid = os.getpid()
+        count_completions = engine.count_completions
+        retried = []
+
+        def poisoned(profile, **kwargs):
+            if os.getpid() == main_pid:
+                retried.append(profile.takes)
+            elif profile.takes == target:
+                raise RuntimeError("injected worker failure")
+            return count_completions(profile, **kwargs)
+
+        monkeypatch.setattr(engine, "count_completions", poisoned)
         assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
+        assert retried == [target]
 
 
 class TestGuards:

@@ -2,120 +2,37 @@
 
 import gc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from league_ties import kernels
+from league_ties import brute
 from league_ties.brute import count_completions_bruteforce
 from league_ties.engine import count_tied
 from league_ties.eulerian import eulerian_count
 from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
+from league_ties.scoring import complement
 from league_ties.search import (
     _CODES,
     _TAIL_WIDTH,
     _TAILS,
-    SearchState,
     _solve,
-    apply_row,
     count_completions,
-    initial_state,
-    row_code_digits,
-    row_code_from_digits,
     split_prefixes,
 )
 
 
 def test_kernel_tables_match_scoring():
-    # The kernels keep their own copies of the pair tables; they must never
-    # drift from the scoring module's definitions.
-    from league_ties import _pure
+    # The brute-force kernels keep their own copies of the pair tables; they
+    # must never drift from the scoring module's definitions.
     from league_ties.scoring import PAIR_MULTIPLICITY, PAIR_POINTS
 
-    assert _pure._PAIR_A == tuple(a for a, _ in PAIR_POINTS)
-    assert _pure._PAIR_B == tuple(b for _, b in PAIR_POINTS)
-    assert _pure._PAIR_MULT == PAIR_MULTIPLICITY
-
-
-class TestRowCodes:
-    def test_round_trip(self):
-        for width in (1, 2, 3):
-            for code in range(6**width):
-                assert row_code_from_digits(row_code_digits(code, width)) == code
-
-    def test_digit_order_is_nearest_opponent_first(self):
-        # code = 3 + 5*6 -> first digit (nearest opponent) 3, then 5
-        assert row_code_digits(3 + 5 * 6, 2) == (3, 5)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            row_code_digits(36, 2)
-        with pytest.raises(ValueError):
-            row_code_from_digits((6,))
-
-
-class TestApplyRow:
-    def test_two_sweeps_leave_weight_alone(self):
-        # Team 2 needs exactly 12 from two encounters: two 6-point sweeps,
-        # multiplicity 1 each, so the weight stays put.
-        state = SearchState(target=12, points=(0, 0, 6), level=2)
-        nxt = apply_row(state, (5, 5))
-        assert nxt is not None
-        assert nxt.weight == 1
-        assert nxt.points == (12, 0, 6)
-        assert nxt.level == 3
-
-    def test_shared_points_double_weight(self):
-        state = SearchState(target=3, points=(0, 0), level=2)
-        nxt = apply_row(state, (3,))
-        assert nxt is not None
-        assert nxt.weight == 2
-        assert nxt.points == (3, 3)
-
-    def test_overshoot_is_infeasible(self):
-        # Row owner already on target; any points-granting code overshoots.
-        state = SearchState(target=4, points=(4, 0), level=2)
-        assert apply_row(state, (3,)) is None
-
-    def test_opponent_overshoot_is_infeasible(self):
-        # Row owner lands exactly on target but pushes the opponent past it.
-        state = SearchState(target=4, points=(0, 4), level=2)
-        assert apply_row(state, (4,)) is None
-
-    def test_missed_target_is_infeasible(self):
-        state = SearchState(target=5, points=(0, 0), level=2)
-        assert apply_row(state, (2,)) is None  # row owner finishes on 2
-
-    def test_row_length_checked(self):
-        state = SearchState(target=4, points=(0, 0, 0), level=2)
-        with pytest.raises(ValueError):
-            apply_row(state, (2,))
-
-    def test_weight_is_power_of_two(self):
-        state = SearchState(target=7, points=(0, 3, 3), level=2)
-        for digits in product(range(6), repeat=2):
-            nxt = apply_row(state, digits)
-            if nxt is not None:
-                assert nxt.weight & (nxt.weight - 1) == 0
-
-
-def reference_count(profile: Profile) -> int:
-    """Tiny independent counter: chain apply_row over all full row codes."""
-    states = [initial_state(profile)]
-    n = profile.n
-    for level in range(2, n):
-        width = n - level
-        nxt = []
-        for state in states:
-            for code in range(6**width):
-                out = apply_row(state, row_code_digits(code, width))
-                if out is not None:
-                    nxt.append(out)
-        states = nxt
-    return sum(s.weight for s in states if s.points[-1] == s.target)
+    assert brute._PAIR_A == tuple(a for a, _ in PAIR_POINTS)
+    assert brute._PAIR_B == tuple(b for _, b in PAIR_POINTS)
+    assert brute._PAIR_MULT == PAIR_MULTIPLICITY
 
 
 class TestCountCompletions:
@@ -133,17 +50,6 @@ class TestCountCompletions:
     def test_matches_sweep_exhaustively(self, n):
         for p in iter_profiles(n):
             assert count_completions(p) == count_completions_bruteforce(p.takes, n), p
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_apply_row_reference(self, n):
-        for p in iter_profiles(n):
-            assert count_completions(p) == reference_count(p), p
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_strict_mode_agrees(self, n):
-        for p in iter_profiles(n):
-            if classify_profile(p) is ProfileClass.SEARCH:
-                assert count_completions(p, strict=True) == count_completions(p), p
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -179,13 +85,18 @@ def search_profiles(n):
     return [p for p in iter_profiles(n) if classify_profile(p) is ProfileClass.SEARCH]
 
 
+def reference_search(p, prefix=()):
+    """Completions of ``p`` by the recursive reference search in ``brute``."""
+    base = tuple(complement(t) for t in p.takes)
+    return brute.completions_search(base, p.taken, prefix)
+
+
 def assert_dp_matches_recursive_search(n):
     """The deficit DP against the pruned recursive search, whole and per prefix."""
     memo = {}
     for p in search_profiles(n):
-        state = initial_state(p)
         for prefix in [()] + split_prefixes(p, 1):
-            want = kernels.completions_search(state.points, state.target, False, prefix)
+            want = reference_search(p, prefix)
             assert count_completions(p, prefix=prefix) == want, (p, prefix)
             assert count_completions(p, prefix=prefix, memo=memo) == want, (p, prefix)
 
@@ -213,12 +124,18 @@ class TestDeficitDP:
             gc.enable()
 
     @pytest.mark.parametrize(
-        "run", [lambda: count_tied(6), lambda: list(iter_profiles(6))],
-        ids=["count_tied", "iter_profiles"],
+        "run",
+        [
+            lambda: count_tied(6),
+            lambda: list(iter_profiles(6)),
+            lambda: [reference_search(p) for p in search_profiles(6)],
+        ],
+        ids=["count_tied", "iter_profiles", "reference_search"],
     )
     def test_count_leaves_no_cyclic_garbage(self, run):
-        # A recursive generator closure in the profile enumeration would
-        # leave a reference cycle behind on every call.
+        # A recursive closure in the profile enumeration or in the
+        # reference search would leave a reference cycle behind on every
+        # call.
         run()
         gc.collect()
         gc.disable()
@@ -294,15 +211,6 @@ class TestPrefixSplitting:
                 for prefix in split_prefixes(p, length)
             ]
             assert sum(parts) == full, (p, length)
-
-    def test_prefix_partition_in_strict_mode(self):
-        p = Profile((4, 3, 3, 0))
-        full = count_completions(p, strict=True)
-        parts = [
-            count_completions(p, strict=True, prefix=prefix)
-            for prefix in split_prefixes(p, 2)
-        ]
-        assert sum(parts) == full
 
     def test_prefix_too_long(self):
         with pytest.raises(ValueError):
