@@ -311,12 +311,7 @@ def _check_takes(takes: Sequence[int], n: int) -> tuple[int, ...]:
     return takes
 
 
-def count_completions_bruteforce(
-    takes: Sequence[int],
-    size: LeagueSize | int,
-    *,
-    allow_large: bool = False,
-) -> int:
+def count_completions_bruteforce(takes: Sequence[int], size: LeagueSize | int) -> int:
     """Weighted completions of one ordered take vector, by full sweep.
 
     ``takes[k]`` is what the first team takes from opponent k+2; that
@@ -324,13 +319,14 @@ def count_completions_bruteforce(
     codes to the encounters among teams 2..n is visited and those ending
     with all of them exactly on the first team's total contribute the
     product of their code multiplicities.  The first team's own doubling
-    and the orderings of ``takes`` are *not* included here.
+    and the orderings of ``takes`` are *not* included here.  Leagues above
+    n=5 are refused: n=6 would mean 6**10 assignments per vector.
     """
     size = as_league_size(size)
-    if size.n > BRUTE_CEILING and not allow_large:
+    if size.n > BRUTE_CEILING:
         raise SizeRefusedError(
             f"completion sweep of n={size.n} means 6**{size.rest_matches // 2} "
-            f"assignments; the default ceiling is n={BRUTE_CEILING}"
+            f"assignments; the ceiling is n={BRUTE_CEILING}"
         )
     takes = _check_takes(takes, size.n)
     base = tuple(complement(t) for t in takes)

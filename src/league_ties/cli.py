@@ -13,9 +13,9 @@ import os
 import sys
 import time
 
-from . import engine
+from . import engine, eulerian
 from .brute import BRUTE_CEILING, count_tied_bruteforce
-from .engine import KNOWN_TOTALS, MAX_TEAMS, TiedCountReport, count_tied
+from .engine import KNOWN_TOTALS, TiedCountReport, count_tied
 from .errors import CheckpointError, LeagueTiesError, SizeRefusedError
 from .eulerian import EULERIAN_COUNTS, eulerian_count, eulerian_count_bruteforce
 from .profiles import (
@@ -68,17 +68,16 @@ def _print_report(report: TiedCountReport) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n = args.teams
-    if args.method in ("optimized", "both"):
-        if n > MAX_TEAMS:
-            raise SizeRefusedError(
-                f"optimised counter supports 2 <= n <= {MAX_TEAMS}; n={n} needs a "
-                f"different algorithm"
-            )
     if args.method in ("brute", "both") and n > BRUTE_CEILING and not args.allow_large_brute:
         raise SizeRefusedError(
             f"brute-force sweep is refused for n > {BRUTE_CEILING}; "
             f"pass --allow-large-brute to override"
         )
+
+    # Optimised first, so that its size refusal fires before any sweep starts.
+    report = None
+    if args.method in ("optimized", "both"):
+        report = count_tied(n, workers=args.workers, checkpoint=args.checkpoint)
 
     brute_total = None
     brute_elapsed = 0.0
@@ -88,10 +87,6 @@ def cmd_count(args: argparse.Namespace) -> int:
             n, allow_large=args.allow_large_brute, workers=args.workers
         )
         brute_elapsed = time.perf_counter() - t0
-
-    report = None
-    if args.method in ("optimized", "both"):
-        report = count_tied(n, workers=args.workers, checkpoint=args.checkpoint)
 
     if args.method == "both" and report is not None and brute_total != report.total:
         print(
@@ -183,7 +178,7 @@ def cmd_profiles(args: argparse.Namespace) -> int:
 
 
 def cmd_eulerian(args: argparse.Namespace) -> int:
-    verified_max = min(args.max, 5)
+    verified_max = min(args.max, eulerian.BRUTE_CEILING)
     for n in range(2, args.max + 1):
         line = f"n={n}: {eulerian_count(n)}"
         if n <= verified_max:
@@ -258,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eulerian", help="print the Eulerian digraph count table")
     p.add_argument(
         "--max", type=int, default=max(EULERIAN_COUNTS), metavar="N",
-        help="largest n to print (brute verification up to n=5)",
+        help=f"largest n to print (brute verification up to n={eulerian.BRUTE_CEILING})",
     )
     p.set_defaults(func=cmd_eulerian)
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -95,56 +96,57 @@ class CheckpointLedger:
     also carry a search-mode flag and an options digest; neither is read);
     each further line records one searched profile.  Only the final line may
     ever be damaged (a killed writer), so a corrupt trailing record is
-    dropped with a warning while damage anywhere else is refused as a stale
-    or foreign file.
+    skipped with a warning by :meth:`load`, which only reads, and cut off by
+    :meth:`open_for_append`; damage anywhere else is refused as a stale or
+    foreign file.
     """
 
     def __init__(self, path: str | Path, n: int):
         self.path = Path(path)
         self.n = n
         self._handle = None
+        self._valid_end: int | None = None  # set by load() on a torn tail
 
-    def header_line(self) -> str:
-        header = {"kind": "header", "n": self.n, "version": ENGINE_VERSION}
-        return json.dumps(header, sort_keys=True)
+    @staticmethod
+    def _parse_header(path: Path, first: bytes) -> dict:
+        try:
+            header = json.loads(first)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict) or header.get("kind") != "header" or "n" not in header:
+            raise CheckpointError(f"{path}: not a checkpoint ledger")
+        return header
 
     def load(self) -> dict[tuple[int, ...], int]:
         """Validated completion counts already on record, keyed by takes."""
         if not self.path.exists() or self.path.stat().st_size == 0:
             return {}
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
+        lines = self.path.read_bytes().split(b"\n")
+        if lines[-1] == b"":
             lines.pop()
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError) as exc:
-            raise CheckpointError(f"{self.path}: unreadable header: {exc}") from None
-        for key, want in (("kind", "header"), ("n", self.n)):
-            if header.get(key) != want:
-                raise CheckpointError(
-                    f"{self.path}: header {key}={header.get(key)!r} does not match "
-                    f"the requested run ({key}={want!r}); refusing to resume"
-                )
+        header = self._parse_header(self.path, lines[0])
+        if header["n"] != self.n:
+            raise CheckpointError(
+                f"{self.path}: header n={header['n']!r} does not match the "
+                f"requested run (n={self.n!r}); refusing to resume"
+            )
 
         entries: dict[tuple[int, ...], int] = {}
         offset = len(lines[0]) + 1
         for idx, line in enumerate(lines[1:], start=1):
             try:
-                entries_update = self._parse_entry(line)
+                takes, completions = self._parse_entry(line)
             except (ValueError, KeyError, TypeError) as exc:
                 if idx == len(lines) - 1:
                     warnings.warn(
                         f"{self.path}: dropping corrupt trailing record ({exc})",
                         stacklevel=2,
                     )
-                    with open(self.path, "r+b") as fh:
-                        fh.truncate(offset)
+                    self._valid_end = offset
                     break
                 raise CheckpointError(
                     f"{self.path}: corrupt record on line {idx + 1}: {exc}"
                 ) from None
-            takes, completions = entries_update
             if takes in entries and entries[takes] != completions:
                 raise CheckpointError(
                     f"{self.path}: conflicting records for profile {takes}"
@@ -174,11 +176,14 @@ class CheckpointLedger:
             self._handle = open(self.path, "a", encoding="ascii")
         except OSError as exc:
             raise CheckpointError(f"cannot write checkpoint {self.path}: {exc}") from exc
+        if self._valid_end is not None:
+            self._handle.truncate(self._valid_end)
         if fresh:
-            self._handle.write(self.header_line() + "\n")
+            header = {"kind": "header", "n": self.n, "version": ENGINE_VERSION}
+            self._handle.write(json.dumps(header, sort_keys=True) + "\n")
             self._handle.flush()
 
-    def append(self, takes: tuple[int, ...], completions: int, worker: int) -> None:
+    def append(self, takes: tuple[int, ...], completions: int) -> None:
         profile = Profile(takes)
         record = {
             "kind": "entry",
@@ -186,7 +191,6 @@ class CheckpointLedger:
             "completions": str(completions),
             "representation": representation_factor(profile),
             "doubling": doubling_factor(profile),
-            "worker": worker,
             "ts": round(time.time(), 3),
         }
         assert self._handle is not None
@@ -203,14 +207,11 @@ class CheckpointLedger:
         """Header of an existing ledger (for resuming without knowing n)."""
         path = Path(path)
         try:
-            with open(path, encoding="ascii") as fh:
+            with open(path, "rb") as fh:
                 first = fh.readline()
-            header = json.loads(first)
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise CheckpointError(f"{path}: unreadable header: {exc}") from None
-        if header.get("kind") != "header" or "n" not in header:
-            raise CheckpointError(f"{path}: not a checkpoint ledger")
-        return header
+        return CheckpointLedger._parse_header(path, first)
 
 
 def _start_worker() -> None:
@@ -263,13 +264,12 @@ def count_tied(
     start = time.perf_counter()
 
     stats = {cls: 0 for cls in ProfileClass}
-    searches: list[tuple[tuple[int, ...], int]] = []  # (takes, rep * dbl)
+    weights: dict[tuple[int, ...], int] = {}  # SEARCH takes -> rep * dbl
     for profile in iter_profiles(n):
         cls = classify_profile(profile)
         stats[cls] += 1
         if cls is ProfileClass.SEARCH:
-            weight = representation_factor(profile) * doubling_factor(profile)
-            searches.append((profile.takes, weight))
+            weights[profile.takes] = representation_factor(profile) * doubling_factor(profile)
 
     ledger: CheckpointLedger | None = None
     recorded: dict[tuple[int, ...], int] = {}
@@ -277,8 +277,7 @@ def count_tied(
     if checkpoint is not None:
         ledger = CheckpointLedger(checkpoint, n)
         recorded = ledger.load()
-        known = {takes for takes, _ in searches}
-        foreign = set(recorded) - known
+        foreign = recorded.keys() - weights.keys()
         if foreign:
             raise CheckpointError(
                 f"{ledger.path}: records for profiles outside the SEARCH class "
@@ -289,8 +288,8 @@ def count_tied(
         ledger.open_for_append()
 
     try:
-        search_total, done = _run_searches(
-            searches, recorded, workers, split_prefix, ledger, progress
+        search_total = _run_searches(
+            weights, recorded, workers, split_prefix, ledger, progress
         )
     finally:
         if ledger is not None:
@@ -313,7 +312,7 @@ def count_tied(
         n=n,
         total=total,
         class_breakdown=breakdown,
-        searched_profiles=len(searches),
+        searched_profiles=len(weights),
         elapsed=time.perf_counter() - start,
         workers=workers,
         resumed_from=resumed_from,
@@ -321,73 +320,55 @@ def count_tied(
 
 
 def _run_searches(
-    searches: Sequence[tuple[tuple[int, ...], int]],
+    weights: dict[tuple[int, ...], int],
     recorded: dict[tuple[int, ...], int],
     workers: int,
     split_prefix: int,
     ledger: CheckpointLedger | None,
     progress: Callable[[int, int], None] | None,
-) -> tuple[int, int]:
-    """Run all outstanding searches; return (weighted sum, profiles done)."""
-    weights = dict(searches)
+) -> int:
+    """Run all outstanding searches; return the weighted sum of all profiles."""
     total = sum(weights[takes] * completions for takes, completions in recorded.items())
     done = len(recorded)
     if progress is not None and done:
-        progress(done, len(searches))
-
-    pending = [takes for takes, _ in searches if takes not in recorded]
-    if not pending:
-        return total, done
+        progress(done, len(weights))
 
     tasks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     parts_needed: dict[tuple[int, ...], int] = {}
+    pending = [takes for takes in weights if takes not in recorded]
     for takes in pending:
         prefixes = split_prefixes(Profile(takes), split_prefix)
         parts_needed[takes] = len(prefixes)
         tasks.extend((takes, prefix) for prefix in prefixes)
-
-    partial: dict[tuple[int, ...], int] = {takes: 0 for takes in pending}
-    failed: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], str]] = []
-
-    def consume(result, worker_id: int) -> None:
-        nonlocal total, done
-        takes, prefix, count, error = result
-        if error is not None:
-            failed.append(((takes, prefix), error))
-            return
-        partial[takes] += count
-        parts_needed[takes] -= 1
-        if parts_needed[takes] == 0:
-            completions = partial.pop(takes)
-            total += weights[takes] * completions
-            done += 1
-            if ledger is not None:
-                ledger.append(takes, completions, worker_id)
-            if progress is not None:
-                progress(done, len(searches))
+    partial = dict.fromkeys(pending, 0)
 
     # One deficit memo serves every profile and target of this call; pool
     # workers each keep their own for the life of the pool.
     memo: dict[tuple[int, ...], int] = {}
-    if workers == 1:
-        for task in tasks:
-            consume(_search_task(task, memo), 0)
-    else:
-        with Pool(workers, initializer=_start_worker) as pool:
-            for result in pool.imap_unordered(_search_task, tasks):
-                consume(result, 1)
-
-    if failed:
-        # One in-process retry per failed subtask; a second failure aborts.
-        retry, failed = failed, []
-        for task, _ in retry:
-            consume(_search_task(task, memo), 0)
-        if failed:
-            (takes, prefix), error = failed[0]
-            raise LeagueTiesError(
-                f"search failed twice for profile {takes} (prefix {prefix}): {error}"
-            )
-    return total, done
+    with ExitStack() as stack:
+        if workers > 1 and tasks:
+            pool = stack.enter_context(Pool(workers, initializer=_start_worker))
+            results = pool.imap_unordered(_search_task, tasks)
+        else:
+            results = (_search_task(task, memo) for task in tasks)
+        for takes, prefix, count, error in results:
+            if error is not None:  # one in-process retry; a second failure aborts
+                _, _, count, error = _search_task((takes, prefix), memo)
+                if error is not None:
+                    raise LeagueTiesError(
+                        f"search failed twice for profile {takes} (prefix {prefix}): {error}"
+                    )
+            partial[takes] += count
+            parts_needed[takes] -= 1
+            if parts_needed[takes] == 0:
+                completions = partial.pop(takes)
+                total += weights[takes] * completions
+                done += 1
+                if ledger is not None:
+                    ledger.append(takes, completions)
+                if progress is not None:
+                    progress(done, len(weights))
+    return total
 
 
 def resume(

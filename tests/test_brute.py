@@ -117,6 +117,10 @@ class TestCompletionSweep:
         assert count_completions_bruteforce((3,), LeagueSize(2)) == 1
         assert count_completions_bruteforce((6,), LeagueSize(2)) == 0
 
+    def test_ceiling(self):
+        with pytest.raises(SizeRefusedError):
+            count_completions_bruteforce((4, 4, 4, 3, 0), LeagueSize(6))
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             count_completions_bruteforce((4, 5), LeagueSize(3))

@@ -97,6 +97,24 @@ class TestResume:
         path.write_text("\n".join(lines) + "\n")
         assert resume(path).total == KNOWN_TOTALS[5]
 
+    def test_records_with_worker_field_resume(self, tmp_path):
+        # Records written before the ledger dropped its placeholder
+        # ``worker`` field carry it; it is ignored on resume and new
+        # records leave it out.
+        path, full = run_with_ledger(tmp_path, 5)
+        truncate_entries(path, full.searched_profiles // 2)
+        lines = ledger_lines(path)
+        for i in range(1, len(lines)):
+            record = json.loads(lines[i])
+            assert "worker" not in record
+            record["worker"] = 1
+            lines[i] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert resume(path).total == KNOWN_TOTALS[5]
+        records = [json.loads(line) for line in ledger_lines(path)[1:]]
+        assert len(records) == full.searched_profiles
+        assert sum("worker" in r for r in records) == len(lines) - 1
+
     def test_resume_with_workers(self, tmp_path):
         path, full = run_with_ledger(tmp_path, 5)
         truncate_entries(path, 3)
@@ -120,6 +138,15 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="header"):
             count_tied(4, checkpoint=path)
 
+    @pytest.mark.parametrize("first", ["[1, 2]", '{"kind": "entry"}'])
+    def test_json_other_than_a_header_refused(self, tmp_path, first):
+        path = tmp_path / "other.ledger"
+        path.write_text(first + "\n")
+        with pytest.raises(CheckpointError, match="not a checkpoint ledger"):
+            count_tied(4, checkpoint=path)
+        with pytest.raises(CheckpointError, match="not a checkpoint ledger"):
+            resume(path)
+
     def test_foreign_profile_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 4)
         lines = ledger_lines(path)
@@ -142,6 +169,25 @@ class TestRecovery:
         assert report.total == full.total
         # The torn line is physically gone.
         assert all(json.loads(line) for line in ledger_lines(path))
+
+    def test_load_leaves_torn_ledger_unchanged(self, tmp_path):
+        # load() only reads; the torn tail is cut when the run reopens the
+        # file to append the profiles still missing.
+        path, full = run_with_ledger(tmp_path, 5)
+        truncate_entries(path, full.searched_profiles // 2)
+        with open(path, "a") as fh:
+            fh.write('{"kind": "entry", "takes": [4, 3, ')
+        before = path.read_bytes()
+        with pytest.warns(UserWarning, match="corrupt trailing record"):
+            recorded = CheckpointLedger(path, 5).load()
+        assert len(recorded) == full.searched_profiles // 2
+        assert path.read_bytes() == before
+        with pytest.warns(UserWarning, match="corrupt trailing record"):
+            report = count_tied(5, checkpoint=path)
+        assert report.total == KNOWN_TOTALS[5]
+        lines = ledger_lines(path)
+        assert len(lines) - 1 == full.searched_profiles
+        assert all(json.loads(line) for line in lines)
 
     def test_corrupt_middle_entry_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)

@@ -49,6 +49,19 @@ class TestCount:
         assert code == 3
         assert "n=9" in err
 
+    def test_nine_teams_refused_before_any_sweep(self, capsys, monkeypatch):
+        # With both methods the optimised count runs first, so its size
+        # refusal fires before the (here unbounded) brute sweep starts.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("brute sweep started")
+
+        monkeypatch.setattr(cli, "count_tied_bruteforce", no_sweep)
+        code, _, err = run_cli(
+            capsys, "count", "--method", "both", "--teams", "9", "--allow-large-brute"
+        )
+        assert code == 3
+        assert "n=9" in err
+
     def test_eight_teams_run_without_long_flag(self, capsys, monkeypatch):
         # n=8 is a run of seconds now, so the CLI hands it straight to the
         # counter; a stub stands in for the run itself.

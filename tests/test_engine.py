@@ -7,7 +7,7 @@ import pytest
 
 from league_ties import engine
 from league_ties.engine import KNOWN_TOTALS, count_tied
-from league_ties.errors import SizeRefusedError
+from league_ties.errors import LeagueTiesError, SizeRefusedError
 from league_ties.eulerian import eulerian_count
 from league_ties.profiles import ProfileClass, classify_profile, iter_profiles
 
@@ -122,6 +122,28 @@ class TestScheduling:
         monkeypatch.setattr(engine, "count_completions", poisoned)
         assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
         assert retried == [target]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_failing_everywhere_aborts(self, monkeypatch, workers):
+        # A profile that fails in the pool and again in the in-process retry
+        # aborts the run with its name, and no worker outlives the call.
+        target = next(
+            p.takes
+            for p in iter_profiles(5)
+            if classify_profile(p) is ProfileClass.SEARCH
+        )
+        count_completions = engine.count_completions
+
+        def poisoned(profile, **kwargs):
+            if profile.takes == target:
+                raise RuntimeError("injected failure")
+            return count_completions(profile, **kwargs)
+
+        monkeypatch.setattr(engine, "count_completions", poisoned)
+        with pytest.raises(LeagueTiesError, match="failed twice") as info:
+            count_tied(5, workers=workers)
+        assert str(target) in str(info.value)
+        assert multiprocessing.active_children() == []
 
 
 class TestGuards:
