@@ -5,8 +5,11 @@ all-draw outcome, the draw-free class counted in closed form by Eulerian
 digraphs, and one weighted search per SEARCH profile.  Per-profile results
 are exact integers and combine by addition, so worker count, scheduling
 order and interruption points cannot change the total.  The searches of one
-run share a memo of deficit multisets (see :mod:`league_ties.search`): one
-in this process, or one per pool worker that lasts as long as the pool.
+run share a memo of deficit multisets (see :mod:`league_ties.search`).
+With several workers the searches are grouped by target P (the first
+team's total), whose memo entries mostly serve that P alone: this process
+and its forked children claim whole groups from a shared counter, each
+keeping one memo across the groups it claims.
 
 A checkpoint ledger (one header line, then one JSON record per finished
 profile) makes long runs resumable: on restart, profiles already on record
@@ -17,12 +20,12 @@ so no total can overflow.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
-from collections.abc import Callable
-from contextlib import ExitStack
+from collections.abc import Callable, Iterator
+from contextlib import closing
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 from .errors import CheckpointError, LeagueTiesError, SizeRefusedError
@@ -55,10 +58,6 @@ KNOWN_TOTALS: dict[int, int] = {
     7: 16503494334993,
     8: 3439079361325736243,
 }
-
-#: Deficit memo of a pool worker process, created by :func:`_start_worker`
-#: and gone with the pool.
-_worker_memo: dict[tuple[int, ...], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,10 @@ class CheckpointLedger:
     Line 1 is a header pinning the league size (headers of older versions
     also carry a search-mode flag and an options digest; neither is read);
     each further line records one searched profile.  Only the final line may
-    ever be damaged (a killed writer), so a corrupt trailing record is
-    skipped with a warning by :meth:`load`, which only reads, and cut off by
-    :meth:`open_for_append`; damage anywhere else is refused as a stale or
-    foreign file.
+    ever be damaged (a killed writer), so a trailing record that is corrupt
+    or lacks its newline is skipped with a warning by :meth:`load`, which
+    only reads, and cut off by :meth:`open_for_append`; damage anywhere else
+    is refused as a stale or foreign file.
     """
 
     def __init__(self, path: str | Path, n: int):
@@ -122,7 +121,10 @@ class CheckpointLedger:
         if not self.path.exists() or self.path.stat().st_size == 0:
             return {}
         lines = self.path.read_bytes().split(b"\n")
-        if lines[-1] == b"":
+        # Every line is written with its newline, so a last line without
+        # one is a torn write even if it parses.
+        torn = lines[-1] != b""
+        if not torn:
             lines.pop()
         header = self._parse_header(self.path, lines[0])
         if header["n"] != self.n:
@@ -130,14 +132,21 @@ class CheckpointLedger:
                 f"{self.path}: header n={header['n']!r} does not match the "
                 f"requested run (n={self.n!r}); refusing to resume"
             )
+        if torn and len(lines) == 1:
+            warnings.warn(f"{self.path}: rewriting torn header", stacklevel=2)
+            self._valid_end = 0
+            return {}
 
         entries: dict[tuple[int, ...], int] = {}
         offset = len(lines[0]) + 1
         for idx, line in enumerate(lines[1:], start=1):
+            last = idx == len(lines) - 1
             try:
+                if last and torn:
+                    raise ValueError("no final newline")
                 takes, completions = self._parse_entry(line)
             except (ValueError, KeyError, TypeError) as exc:
-                if idx == len(lines) - 1:
+                if last:
                     warnings.warn(
                         f"{self.path}: dropping corrupt trailing record ({exc})",
                         stacklevel=2,
@@ -171,14 +180,13 @@ class CheckpointLedger:
         return takes, completions
 
     def open_for_append(self) -> None:
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
         try:
             self._handle = open(self.path, "a", encoding="ascii")
         except OSError as exc:
             raise CheckpointError(f"cannot write checkpoint {self.path}: {exc}") from exc
         if self._valid_end is not None:
             self._handle.truncate(self._valid_end)
-        if fresh:
+        if self._handle.seek(0, os.SEEK_END) == 0:
             header = {"kind": "header", "n": self.n, "version": ENGINE_VERSION}
             self._handle.write(json.dumps(header, sort_keys=True) + "\n")
             self._handle.flush()
@@ -214,18 +222,12 @@ class CheckpointLedger:
         return CheckpointLedger._parse_header(path, first)
 
 
-def _start_worker() -> None:
-    global _worker_memo
-    _worker_memo = {}
+_Task = tuple[tuple[int, ...], tuple[int, ...]]  # (takes, prefix)
+_Result = tuple[tuple[int, ...], tuple[int, ...], int | None, str | None]
 
 
-def _search_task(
-    args: tuple[tuple[int, ...], tuple[int, ...]],
-    memo: dict[tuple[int, ...], int] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...], int | None, str | None]:
-    takes, prefix = args
-    if memo is None:
-        memo = _worker_memo
+def _search_task(task: _Task, memo: dict[tuple[int, ...], int]) -> _Result:
+    takes, prefix = task
     try:
         count = count_completions(Profile(takes), prefix=prefix, memo=memo)
         return takes, prefix, count, None
@@ -333,7 +335,7 @@ def _run_searches(
     if progress is not None and done:
         progress(done, len(weights))
 
-    tasks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    tasks: list[_Task] = []
     parts_needed: dict[tuple[int, ...], int] = {}
     pending = [takes for takes in weights if takes not in recorded]
     for takes in pending:
@@ -342,15 +344,13 @@ def _run_searches(
         tasks.extend((takes, prefix) for prefix in prefixes)
     partial = dict.fromkeys(pending, 0)
 
-    # One deficit memo serves every profile and target of this call; pool
-    # workers each keep their own for the life of the pool.
+    # One deficit memo serves every profile and target this process runs.
     memo: dict[tuple[int, ...], int] = {}
-    with ExitStack() as stack:
-        if workers > 1 and tasks:
-            pool = stack.enter_context(Pool(workers, initializer=_start_worker))
-            results = pool.imap_unordered(_search_task, tasks)
-        else:
-            results = (_search_task(task, memo) for task in tasks)
+    if workers > 1 and tasks:
+        results = _shared_results(tasks, workers, memo)
+    else:
+        results = (_search_task(task, memo) for task in tasks)
+    with closing(results):
         for takes, prefix, count, error in results:
             if error is not None:  # one in-process retry; a second failure aborts
                 _, _, count, error = _search_task((takes, prefix), memo)
@@ -368,7 +368,99 @@ def _run_searches(
                     ledger.append(takes, completions)
                 if progress is not None:
                     progress(done, len(weights))
+    if partial:
+        raise LeagueTiesError(f"no search result for profiles {sorted(partial)[:3]}...")
     return total
+
+
+def _shared_results(
+    tasks: list[_Task], workers: int, memo: dict[tuple[int, ...], int]
+) -> Iterator[_Result]:
+    """Results of every task, computed here and in up to ``workers - 1`` children.
+
+    The tasks are grouped by target P, the central (costliest) targets
+    first.  Each process claims the next whole group from a shared counter
+    until none is left; children send each result up a one-way pipe, which
+    this process drains between its own tasks.  A task whose result never
+    arrived (a child died) is run here once every pipe is closed.  Closing
+    the generator early stops the children.
+    """
+    # Imported here: ``Value`` imports ctypes, which a one-worker run and
+    # the package import should not pay for.
+    from multiprocessing import Pipe, Process, Value
+    from multiprocessing.connection import wait
+
+    by_target: dict[int, list[_Task]] = {}
+    for task in tasks:
+        by_target.setdefault(sum(task[0]), []).append(task)
+    # The cost of a target peaks a little above the middle of the SEARCH
+    # range 2n - 1..3n - 4 (P = 18 and 19 at n = 8, 16 at n = 7).
+    n = len(tasks[0][0]) + 1
+    order = sorted(by_target, key=lambda p: (abs(2 * p - (5 * n - 3)), p))
+    groups = [by_target[p] for p in order]
+
+    claimed = Value("i", 0)
+    children: list[Process] = []
+    live = []
+    try:
+        for _ in range(min(workers, len(groups)) - 1):
+            reader, writer = Pipe(duplex=False)
+            child = Process(target=_child_searches, args=(groups, claimed, writer), daemon=True)
+            child.start()
+            writer.close()  # the child holds the only writer, so its exit reads as EOF
+            children.append(child)
+            live.append(reader)
+
+        missing = set(tasks)
+
+        def received(timeout: float | None) -> Iterator[_Result]:
+            for reader in wait(live, timeout):
+                try:
+                    result = reader.recv()
+                except EOFError:
+                    live.remove(reader)
+                    reader.close()
+                    continue
+                missing.discard(result[:2])
+                yield result
+
+        for group in _claims(groups, claimed):
+            for task in group:
+                missing.discard(task)
+                yield _search_task(task, memo)
+                yield from received(0)
+        while live:
+            yield from received(None)
+        for task in tasks:
+            if task in missing:
+                yield _search_task(task, memo)
+    finally:
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+        for reader in live:
+            reader.close()
+
+
+def _claims(groups: list[list[_Task]], claimed) -> Iterator[list[_Task]]:
+    """Groups claimed through the shared counter, one at a time, until none is left."""
+    while True:
+        with claimed.get_lock():
+            index = claimed.value
+            claimed.value = index + 1
+        if index >= len(groups):
+            return
+        yield groups[index]
+
+
+def _child_searches(groups: list[list[_Task]], claimed, results) -> None:
+    """Child process: run claimed groups with one memo, sending each result."""
+    memo: dict[tuple[int, ...], int] = {}
+    with results:
+        for group in _claims(groups, claimed):
+            for task in group:
+                results.send(_search_task(task, memo))
 
 
 def resume(

@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 
 import pytest
 
@@ -188,6 +189,32 @@ class TestRecovery:
         lines = ledger_lines(path)
         assert len(lines) - 1 == full.searched_profiles
         assert all(json.loads(line) for line in lines)
+
+    def test_record_without_newline_is_torn(self, tmp_path):
+        # A write torn just before its newline leaves a record that parses;
+        # it is still dropped and cut, so the next record starts a new line.
+        path, full = run_with_ledger(tmp_path, 5)
+        truncate_entries(path, full.searched_profiles // 2)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.warns(UserWarning, match="no final newline"):
+            assert resume(path).total == KNOWN_TOTALS[5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resume(path).total == KNOWN_TOTALS[5]
+        lines = ledger_lines(path)
+        assert len(lines) - 1 == full.searched_profiles
+        assert all(json.loads(line) for line in lines)
+
+    def test_header_without_newline_is_rewritten(self, tmp_path):
+        path = tmp_path / "torn-header.ledger"
+        header = {"kind": "header", "n": 4, "version": engine.ENGINE_VERSION}
+        path.write_text(json.dumps(header, sort_keys=True))
+        with pytest.warns(UserWarning, match="torn header"):
+            report = count_tied(4, checkpoint=path)
+        assert report.total == KNOWN_TOTALS[4]
+        lines = ledger_lines(path)
+        assert json.loads(lines[0]) == header
+        assert len(lines) - 1 == report.searched_profiles
 
     def test_corrupt_middle_entry_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -81,6 +83,15 @@ class TestScheduling:
         assert count_tied(5, workers=2).total == expected
         assert count_tied(5, workers=3).total == expected
 
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_known_totals_with_workers(self, workers):
+        for n in range(2, 8):
+            assert count_tied(n, workers=workers).total == KNOWN_TOTALS[n]
+
+    @pytest.mark.long
+    def test_eight_teams_with_two_workers(self):
+        assert count_tied(8, workers=2).total == KNOWN_TOTALS[8]
+
     @pytest.mark.parametrize("split", [0, 1, 2])
     def test_forced_profile_splitting(self, split):
         assert count_tied(5, workers=2, split_prefix=split).total == KNOWN_TOTALS[5]
@@ -99,29 +110,80 @@ class TestScheduling:
         assert seen[-1] == (report.searched_profiles, report.searched_profiles)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
-    def test_failed_worker_tasks_are_retried(self, monkeypatch):
-        # Poison one profile so it fails inside worker processes (forked,
-        # so they inherit the patch); the in-process retry must still
-        # deliver the exact total, and it must run for that profile alone.
+    def test_failed_worker_tasks_are_retried(self, monkeypatch, tmp_path):
+        # The first attempt at one profile fails in whichever process runs
+        # it (forked children inherit the patch); the in-process retry must
+        # still deliver the exact total, with exactly one more attempt.
         target = next(
             p.takes
             for p in iter_profiles(5)
             if classify_profile(p) is ProfileClass.SEARCH
         )
-        main_pid = os.getpid()
+        marker = tmp_path / "failed-once"
+        attempts = tmp_path / "attempts"
         count_completions = engine.count_completions
-        retried = []
 
-        def poisoned(profile, **kwargs):
-            if os.getpid() == main_pid:
-                retried.append(profile.takes)
-            elif profile.takes == target:
-                raise RuntimeError("injected worker failure")
+        def fail_first(profile, **kwargs):
+            if profile.takes == target:
+                with open(attempts, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    pass
+                else:
+                    raise RuntimeError("injected failure on the first attempt")
             return count_completions(profile, **kwargs)
 
-        monkeypatch.setattr(engine, "count_completions", poisoned)
+        monkeypatch.setattr(engine, "count_completions", fail_first)
         assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
-        assert retried == [target]
+        pids = attempts.read_text().split()
+        assert len(pids) == 2
+        assert pids[1] == str(os.getpid())
+
+    def test_killed_child_costs_no_result(self, monkeypatch, tmp_path):
+        # A child that dies mid-group takes none of its claimed tasks with
+        # it: they are run here once its pipe closes, and the run neither
+        # hangs nor returns a short total.
+        main_pid = os.getpid()
+        died = tmp_path / "died"
+        count_completions = engine.count_completions
+
+        def dying(profile, **kwargs):
+            if os.getpid() != main_pid:
+                died.write_text(str(profile.takes))
+                os._exit(1)
+            time.sleep(0.01)  # leave the child time to claim a group
+            return count_completions(profile, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("count_tied hung after a child died")
+
+        monkeypatch.setattr(engine, "count_completions", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert died.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_processes_than_target_groups(self, monkeypatch):
+        targets = {
+            p.taken for p in iter_profiles(5) if classify_profile(p) is ProfileClass.SEARCH
+        }
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        assert count_tied(5, workers=16).total == KNOWN_TOTALS[5]
+        assert len(started) == len(targets) - 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_task_failing_everywhere_aborts(self, monkeypatch, workers):
