@@ -25,6 +25,14 @@ applied to the opponents once the row closes, gives a window for those
 points, so the entries outside it are passed over before any deficit tuple
 is built; the memo and its key are unchanged.
 
+Tail opponents with equal deficits are interchangeable: swapping their codes
+changes none of the owner's points, the opponents' total, the fit of each
+take under its deficit or the sorted deficits left.  So each tail table is
+kept once per pattern of equal neighbouring deficits, and within each run of
+equal deficits it lists one ordering per multiset of codes, weighted by the
+number of its distinct orderings.  A row looks up each key once instead of
+once per ordering; the memo gains no key and loses none.
+
 The test suite checks this DP against :func:`league_ties.brute.completions_search`,
 a plain recursive row search that shares no code with it.
 """
@@ -32,8 +40,7 @@ a plain recursive row search that shares no code with it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import product
-from math import prod
+from math import factorial, prod
 from operator import gt, sub
 
 from .profiles import Profile
@@ -48,27 +55,87 @@ _CODES = tuple(
 #: Widest row end closed from a table instead of code by code.
 _TAIL_WIDTH = 3
 
+#: A tail table: per owner's need, (opponents' total, takes, weight) entries.
+_Table = tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
 
-def _tail_table(width: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]:
-    """Every assignment of ``width`` pair codes, grouped by the owner's points.
 
-    Entry ``k`` lists the assignments worth ``k`` points to the row owner as
-    (points to the opponents in total, points to each opponent, weight),
-    in ascending order of the total.
+def _tail_tables() -> list[_Table]:
+    """Every assignment of ``w`` pair codes, grouped by the owner's points, per width ``w``.
+
+    Entry ``k`` of width ``w`` lists the assignments worth ``k`` points to
+    the row owner as (points to the opponents in total, points to each
+    opponent, weight), in ascending order of the total.  Each width extends
+    the assignments of the one before by one code.
     """
-    by_need: list[list[tuple[int, tuple[int, ...], int]]] = [
-        [] for _ in range(6 * width + 1)
+    tables: list[_Table] = [(((0, (), 1),),)]
+    for width in range(1, _TAIL_WIDTH + 1):
+        by_need: list[list[tuple[int, tuple[int, ...], int]]] = [
+            [] for _ in range(6 * width + 1)
+        ]
+        for need, entries in enumerate(tables[-1]):
+            for taken, takes, mult in entries:
+                for a, b, code_mult in _CODES:
+                    by_need[need + a].append((taken + b, takes + (b,), mult * code_mult))
+        tables.append(tuple(tuple(sorted(entries)) for entries in by_need))
+    return tables
+
+
+def _run_lengths(mask: int, width: int) -> list[int]:
+    """Lengths of the runs into which the set bits of ``mask`` join ``width`` positions.
+
+    Bit ``i`` joins positions ``i`` and ``i + 1``.
+    """
+    lengths = [1]
+    for i in range(width - 1):
+        if mask >> i & 1:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+def _fold(table: _Table, width: int) -> tuple[_Table, ...]:
+    """The tail table ``table`` of ``width``, once per equal-deficit pattern.
+
+    Bit ``i`` of a pattern is set when tail opponents ``i`` and ``i + 1``
+    have equal deficits.  Swapping codes between two such opponents changes
+    neither the owner's points, nor the opponents' total, nor which takes
+    fit the deficits, nor the sorted deficits left.  So within each run of
+    equal deficits only the assignment with non-decreasing takes is kept,
+    weighted by the number of distinct orderings of its takes: the product
+    of the runs' factorials over that of the factorials of its runs of equal
+    takes.  Entries keep the order of ``table``, and pattern 0 is ``table``.
+    """
+    patterns = range(1 << max(width - 1, 0))
+    orderings = [
+        [
+            prod(map(factorial, _run_lengths(pattern, width)))
+            // prod(map(factorial, _run_lengths(ties, width)))
+            for ties in patterns
+        ]
+        for pattern in patterns
     ]
-    for codes in product(_CODES, repeat=width):
-        takes = tuple(b for _, b, _ in codes)
-        by_need[sum(a for a, _, _ in codes)].append(
-            (sum(takes), takes, prod(mult for _, _, mult in codes))
-        )
-    return tuple(tuple(sorted(entries)) for entries in by_need)
+    folded = [[[] for _ in table] for _ in patterns]
+    for need, entries in enumerate(table):
+        for taken, takes, mult in entries:
+            descents = ties = 0
+            for i in range(width - 1):
+                if takes[i] > takes[i + 1]:
+                    descents |= 1 << i
+                elif takes[i] == takes[i + 1]:
+                    ties |= 1 << i
+            for pattern in patterns[1:]:
+                if not descents & pattern:
+                    folded[pattern][need].append(
+                        (taken, takes, mult * orderings[pattern][ties & pattern])
+                    )
+    return (table,) + tuple(tuple(map(tuple, by_need)) for by_need in folded[1:])
 
 
-#: ``_TAILS[w][k]``: the tail table of width ``w`` for an owner needing ``k``.
-_TAILS = tuple(_tail_table(w) for w in range(_TAIL_WIDTH + 1))
+#: ``_TAILS[w][pattern][k]``: the tail table of width ``w`` for an owner
+#: needing ``k``, folded over the equal-deficit runs that ``pattern`` marks
+#: (see :func:`_fold`); pattern 0 is the unfolded table.
+_TAILS = tuple(_fold(table, w) for w, table in enumerate(_tail_tables()))
 
 
 def count_completions(
@@ -141,14 +208,28 @@ def _row(
     closed in one pass over their tail table.  Deliberately a module-level
     function: a nested recursive closure would leave a reference cycle
     behind on every call.
+
+    The tail table is the one folded for the pattern of equal neighbouring
+    deficits among the tail opponents (see :func:`_fold`).  The pattern
+    only compares values, so a tail whose equal deficits sit apart would
+    merely fold less.  Neither caller passes one: :func:`_solve` passes
+    sorted deficits, and :func:`count_completions` those of a profile's
+    weakly descending takes, which are equal only where the takes are.
+    Each key is read from ``memo`` here, and :func:`_solve` runs only on a
+    miss.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
     if width <= _TAIL_WIDTH:
         tail = deficits[j:]
+        pattern = 0
+        for i in range(width - 1):
+            if tail[i] == tail[i + 1]:
+                pattern |= 1 << i
+        get = memo.get
         total = 0
-        for taken, takes, mult in _TAILS[width][need]:
+        for taken, takes, mult in _TAILS[width][pattern][need]:
             if taken < lo:
                 continue
             if taken > hi:
@@ -157,7 +238,11 @@ def _row(
                 continue
             left = rest + list(map(sub, tail, takes))
             left.sort()
-            total += mult * _solve(tuple(left), memo)
+            key = tuple(left)
+            count = get(key)
+            if count is None:
+                count = _solve(key, memo)
+            total += mult * count
         return total
     dj = deficits[j]
     total = 0

@@ -161,7 +161,7 @@ class TestClassification:
             if classify_profile(p) in PRUNED_CLASSES:
                 assert count_completions_bruteforce(p.takes, n) == 0, p.takes
 
-    @pytest.mark.parametrize("n, pruned", [(6, 204), (7, 358), (8, 573)])
+    @pytest.mark.parametrize("n, pruned", [(6, 204), (7, 358), (8, 573), (9, 918)])
     def test_pruned_profiles_have_no_dp_completions(self, n, pruned):
         memo = {}
         checked = 0

@@ -2,7 +2,7 @@
 
 import gc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -149,14 +149,43 @@ class TestDeficitDP:
 class TestTailTables:
     @pytest.mark.parametrize("width", range(_TAIL_WIDTH + 1))
     def test_every_assignment_once(self, width):
-        entries = [e for by_need in _TAILS[width] for e in by_need]
+        entries = [e for by_need in _TAILS[width][0] for e in by_need]
         assert len(entries) == 6**width
         assert sum(mult for _, _, mult in entries) == 9**width
         owner_points = {b: a for a, b, _ in _CODES}
-        for need, by_need in enumerate(_TAILS[width]):
+        for need, by_need in enumerate(_TAILS[width][0]):
             for taken, takes, _ in by_need:
                 assert sum(owner_points[b] for b in takes) == need
                 assert sum(takes) == taken
+            totals = [taken for taken, _, _ in by_need]
+            assert totals == sorted(totals)
+
+    @pytest.mark.parametrize(
+        "width, pattern",
+        [(w, p) for w in range(_TAIL_WIDTH + 1) for p in range(1 << max(w - 1, 0))],
+    )
+    def test_folded_tables_expand_to_the_full_table(self, width, pattern):
+        # Bit i of the pattern joins tail positions i and i + 1 into one run of
+        # equal deficits.  Every ordering of a folded entry's takes within its
+        # runs is one entry of pattern 0, each met exactly once, and the folded
+        # weight is the sum of theirs.
+        assert len(_TAILS[width]) == 1 << max(width - 1, 0)
+        starts = [0] + [i + 1 for i in range(width - 1) if not pattern >> i & 1]
+        runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [width])]
+        owner_points = {b: a for a, b, _ in _CODES}
+        for need, by_need in enumerate(_TAILS[width][pattern]):
+            full = {takes: mult for _, takes, mult in _TAILS[width][0][need]}
+            expanded = []
+            for taken, takes, weight in by_need:
+                assert sum(owner_points[b] for b in takes) == need
+                assert sum(takes) == taken
+                orderings = [
+                    tuple(sum(parts, ()))
+                    for parts in product(*(set(permutations(takes[r])) for r in runs))
+                ]
+                assert weight == sum(full[t] for t in orderings)
+                expanded += orderings
+            assert sorted(expanded) == sorted(full)
             totals = [taken for taken, _, _ in by_need]
             assert totals == sorted(totals)
 
@@ -178,24 +207,64 @@ def fixed_point_free_slice(n):
     return int(coeff * factorial(n))
 
 
+#: Deficit tuples with runs of equal values at the start, middle or end,
+#: and with every value equal, for 2 to 5 teams; some count zero.
+REPEATED_DEFICITS = [
+    (2, 2), (3, 3), (6, 6),
+    (5, 5, 5), (6, 6, 6), (3, 3, 8), (5, 5, 8), (2, 6, 6), (4, 7, 7),
+    (4, 4, 4, 4), (6, 6, 6, 6), (9, 9, 9, 9), (3, 3, 8, 18), (5, 5, 7, 7),
+    (0, 9, 9, 14), (5, 6, 9, 9), (6, 6, 6, 9),
+    (8, 8, 8, 8, 8), (9, 9, 9, 9, 9), (12, 12, 12, 12, 12),
+    (10, 10, 10, 10, 12), (7, 7, 9, 9, 10), (8, 9, 9, 9, 10),
+    (0, 11, 11, 11, 22), (6, 10, 10, 10, 10), (0, 6, 17, 17, 17),
+]
+
+
+class TestRepeatedDeficits:
+    """Equal deficits close from folded tail tables; the DP must not notice."""
+
+    @pytest.mark.parametrize("deficits", REPEATED_DEFICITS, ids=str)
+    def test_matches_recursive_search(self, deficits):
+        target = max(deficits)
+        base = tuple(target - d for d in deficits)
+        assert _solve(tuple(sorted(deficits)), {}) == brute.completions_search(
+            base, target
+        )
+
+    def test_some_counts_are_nonzero(self):
+        for m in range(2, 6):
+            cases = [d for d in REPEATED_DEFICITS if len(d) == m]
+            assert any(_solve(d, {}) for d in cases), m
+            assert not all(_solve(d, {}) for d in cases), m
+
+    @pytest.mark.parametrize("n, size", [(6, 611), (7, 3855)])
+    def test_shared_memo_size(self, n, size):
+        # The fold skips lookups, never keys: one shared-memo pass over the
+        # SEARCH profiles leaves the same memo as the unfolded tables did.
+        memo = {}
+        for p in search_profiles(n):
+            count_completions(p, memo=memo)
+        assert len(memo) == size
+
+
 class TestClosedFormSlices:
     """Level targets whose count is known in closed form, straight through the DP."""
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_all_draw_level(self, n):
         assert _solve((2 * n - 2,) * n, {}) == 1
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_draw_free_level_is_eulerian(self, n):
         assert _solve((3 * n - 3,) * n, {}) == eulerian_count(n)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_one_above_all_draw_level(self, n):
         assert _solve((2 * n - 1,) * n, {}) == fixed_point_free_slice(n)
 
     def test_fixed_point_free_series(self):
-        assert [fixed_point_free_slice(n) for n in range(2, 9)] == [
-            2, 16, 108, 1088, 13240, 184896, 2956688,
+        assert [fixed_point_free_slice(n) for n in range(2, 10)] == [
+            2, 16, 108, 1088, 13240, 184896, 2956688, 53231104,
         ]
 
 
