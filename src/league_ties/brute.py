@@ -1,11 +1,20 @@
 """Ground-truth counters by full enumeration, and a plain reference search.
 
-Three oracles live here.  The season sweep walks all ``3**M`` base-3 season
+Three oracles live here.  The season sweep tests all ``3**M`` base-3 season
 encodings and counts the outcomes with every team level on points.  The
-completion sweep walks all pair-code assignments of the matches among the
+completion sweep tests all pair-code assignments of the matches among the
 non-leading teams for one fixed take vector of the first team.  Both
 sweeps are deliberately free of the symmetry and pruning arguments used by
 the optimised counter, which is exactly what makes them useful as oracles.
+
+"Full enumeration" means every outcome is tested against the tie predicate;
+no outcome is skipped, merged with another or derived from a symmetry.  Each
+odometer step fixes all but the first match (season sweep: match 0, team 0
+at home to team 1) or the first pair (completion sweep: teams 0 and 1), and
+closes it in one step: the three results, or six pair codes, are tested
+together, because at most one of them can bring teams 0 and 1 to the
+final level.  The odometer therefore takes ``3**(M-1)`` or ``6**(P-1)``
+steps for ``M`` matches or ``P`` pairs.
 
 The third is :func:`completions_search`, a row-by-row recursive search of
 the same completions that only cuts a branch once some team overshoots the
@@ -50,12 +59,32 @@ _STEP_A = (1, 1, 1, 1, 2)
 _STEP_B = (-2, -2, 1, -2, -1)
 _STEP_DBL = (1, -1, 1, 0, -1)  # change in the number of doubled digits
 
+# Home and away points of match result r (0 away win, 1 draw, 2 home win).
+_HOME = (0, 1, 3)
+_AWAY = (3, 1, 0)
+
+
+def _tied_result(points: list[int], close: dict[int, tuple[int, int, int]]) -> int | None:
+    """The result of match 0 that ties the season, or None if none does."""
+    hit = close.get(points[1] - points[0])
+    if hit is not None and points.count(points[0] + hit[1]) == hit[2]:
+        return hit[0]
+    return None
+
 
 def count_tied_range(n: int, start: int, stop: int) -> int:
     """Tied outcomes among base-3 season encodings in [start, stop).
 
     Digit ``i`` of an encoding is the result of match ``i`` in the canonical
     home-major order; an outcome is tied when all teams finish equal.
+
+    The odometer runs over matches 1..M-1; match 0 (team 0 at home to team
+    1) owns the lowest digit, so each odometer state stands for the three
+    consecutive encodings ``3*q``, ``3*q + 1`` and ``3*q + 2``.  All three
+    are tested at once: a result ties the season when it brings teams 0 and
+    1 level with each other and with every other team.  Whole groups are
+    counted in the loop; the results of the first and last group that fall
+    outside [start, stop) are taken off afterwards.
     """
     if not 2 <= n <= 9:
         raise ValueError(f"season sweep supports 2 <= n <= 9, got {n}")
@@ -67,32 +96,41 @@ def count_tied_range(n: int, start: int, stop: int) -> int:
     if start == stop:
         return 0
 
-    digits = [0] * m
+    first, lo = divmod(start, 3)  # results below lo precede start
+    last, hi = divmod(stop - 1, 3)  # results above hi reach stop
+    outer = matches[1:]
+    digits = [0] * (m - 1)
     points = [0] * n
-    e = start
-    for i in range(m):
+    e = first
+    for i in range(m - 1):
         e, r = divmod(e, 3)
         digits[i] = r
-        h, a = matches[i]
-        if r == 0:
-            points[a] += 3
-        elif r == 1:
-            points[h] += 1
-            points[a] += 1
-        else:
-            points[h] += 3
+        h, a = outer[i]
+        points[h] += _HOME[r]
+        points[a] += _AWAY[r]
 
-    count = 0
-    remaining = stop - start
+    # Keyed by team 1's points minus team 0's before match 0: the one result
+    # r that levels the two (home minus away points is -3, 0 or 3, so at
+    # most one can), team 0's points from it, and how many teams sit on the
+    # final level before match 0 when the season ties: the n - 2 others plus
+    # whichever of teams 0 and 1 takes nothing from match 0 (none on a draw).
+    close = {
+        home - away: (r, home, n - 2 + (home == 0 or away == 0))
+        for r, (home, away) in enumerate(zip(_HOME, _AWAY))
+    }
+    r = _tied_result(points, close)
+    count = -1 if r is not None and r < lo else 0
+    remaining = last - first + 1
     while True:
-        if min(points) == max(points):
+        hit = close.get(points[1] - points[0])  # _tied_result, inlined
+        if hit is not None and points.count(points[0] + hit[1]) == hit[2]:
             count += 1
         remaining -= 1
         if remaining == 0:
-            return count
+            break
         i = 0
         while True:
-            h, a = matches[i]
+            h, a = outer[i]
             r = digits[i]
             if r == 0:  # away win -> draw
                 digits[i] = 1
@@ -108,15 +146,25 @@ def count_tied_range(n: int, start: int, stop: int) -> int:
             points[h] -= 3
             points[a] += 3
             i += 1
+    r = _tied_result(points, close)
+    if r is not None and r > hi:
+        count -= 1
+    return count
 
 
 def completions_sweep(base: tuple[int, ...], target: int) -> int:
     """Weighted full enumeration over the pair encounters among ``len(base)`` teams.
 
     ``base[i]`` is team ``i``'s points before any of these encounters.  Every
-    one of the ``6**(k*(k-1)/2)`` code assignments is visited (no pruning of
+    one of the ``6**(k*(k-1)/2)`` code assignments is tested (no pruning of
     any kind); an assignment with all teams exactly at ``target`` contributes
     the product of its codes' multiplicities.
+
+    The odometer runs over pairs 1.. only.  Pair 0 is teams 0 and 1, and its
+    six codes are tested at once for each odometer state: the code whose
+    points take team 0 to ``target`` is the only candidate, and it counts
+    when it also takes team 1 there and every other team already sits on
+    ``target``.
     """
     k = len(base)
     if k > 8:
@@ -127,22 +175,32 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
     if m == 0:
         return 1 if all(p == target for p in points) else 0
 
-    codes = [0] * m
-    for _, j in pairs:  # code 0 gives (0, 6)
+    # Keyed by team 0's points before pair 0: team 1's points that the same
+    # code completes, its multiplicity, and the number of teams on target
+    # before pair 0 when the assignment ties (the k - 2 others plus a team
+    # that takes nothing from pair 0).
+    close = {
+        target - a: (target - b, mult, k - 2 + (a == 0 or b == 0))
+        for a, b, mult in zip(_PAIR_A, _PAIR_B, _PAIR_MULT)
+    }
+    outer = pairs[1:]
+    codes = [0] * (m - 1)
+    for _, j in outer:  # code 0 gives (0, 6)
         points[j] += 6
     doubled = 0
     count = 0
-    remaining = 6**m
+    remaining = 6 ** (m - 1)
     while True:
-        if min(points) == max(points) == target:
-            count += 1 << doubled
+        hit = close.get(points[0])
+        if hit is not None and points[1] == hit[0] and points.count(target) == hit[2]:
+            count += hit[1] << doubled
         remaining -= 1
         if remaining == 0:
             return count
         idx = 0
         while True:
             c = codes[idx]
-            i, j = pairs[idx]
+            i, j = outer[idx]
             if c == 5:  # wrap (6,0) -> (0,6), carry; multiplicity unchanged
                 codes[idx] = 0
                 points[i] -= 6
@@ -280,10 +338,11 @@ def count_tied_bruteforce(
     """Count tied outcomes by sweeping all ``3**M`` season encodings.
 
     Refuses ``n > 5`` unless ``allow_large`` is set: the n=5 sweep already
-    visits ~3.5e9 encodings and every further team multiplies the space by
+    tests ~3.5e9 encodings and every further team multiplies the space by
     ``3**(2n)``.  The sweep is split into contiguous ranges of ``chunk``
     encodings; partial counts combine by addition, so any ``workers`` count
-    gives the same total.
+    gives the same total.  A sweep of one range runs in-process, and a pool
+    never starts more workers than there are ranges.
     """
     size = as_league_size(size)
     if size.n > BRUTE_CEILING and not allow_large:
@@ -295,9 +354,9 @@ def count_tied_bruteforce(
         raise ValueError("chunk must be positive")
     space = 3**size.matches
     ranges = [(size.n, s, min(s + chunk, space)) for s in range(0, space, chunk)]
-    if workers <= 1:
+    if workers <= 1 or len(ranges) == 1:
         return sum(_count_range_task(r) for r in ranges)
-    with Pool(workers) as pool:
+    with Pool(min(workers, len(ranges))) as pool:
         return sum(pool.imap_unordered(_count_range_task, ranges, chunksize=16))
 
 

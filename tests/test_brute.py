@@ -1,18 +1,59 @@
 """Brute-force oracles: encodings, tallies, season and completion sweeps."""
 
+from collections import Counter
+from functools import cache
+from itertools import accumulate, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from league_ties import brute
 from league_ties.brute import (
+    completions_sweep,
     count_completions_bruteforce,
     count_tied_bruteforce,
+    count_tied_range,
     decode_outcome,
     encode_outcome,
     tally_points,
 )
 from league_ties.errors import SizeRefusedError
-from league_ties.scoring import LeagueSize, TAKE_VALUES, match_order, result_points
+from league_ties.scoring import (
+    PAIR_MULTIPLICITY,
+    PAIR_POINTS,
+    LeagueSize,
+    TAKE_VALUES,
+    match_order,
+    result_points,
+)
+
+
+@cache
+def tied_prefix(n):
+    """Tied encodings below each bound, one decode and tally per encoding."""
+    size = LeagueSize(n)
+    flags = []
+    for e in range(3**size.matches):
+        points = tally_points(decode_outcome(e, size), size)
+        flags.append(min(points) == max(points))
+    return [0, *accumulate(flags)]
+
+
+@cache
+def completion_weights(k):
+    """Weight of every point gain vector over all 6**C(k,2) code assignments."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    weights = Counter()
+    for codes in product(range(6), repeat=len(pairs)):
+        gains = [0] * k
+        weight = 1
+        for (i, j), c in zip(pairs, codes):
+            gains[i] += PAIR_POINTS[c][0]
+            gains[j] += PAIR_POINTS[c][1]
+            weight *= PAIR_MULTIPLICITY[c]
+        weights[tuple(gains)] += weight
+    return weights
 
 
 class TestEncoding:
@@ -75,6 +116,8 @@ class TestSeasonSweep:
 
     def test_chunking_and_workers_do_not_matter(self):
         expected = count_tied_bruteforce(3)
+        assert count_tied_bruteforce(3, chunk=1) == expected
+        assert count_tied_bruteforce(3, chunk=2) == expected
         assert count_tied_bruteforce(3, chunk=7) == expected
         assert count_tied_bruteforce(3, chunk=3**6) == expected
         assert count_tied_bruteforce(3, workers=2, chunk=50) == expected
@@ -82,6 +125,41 @@ class TestSeasonSweep:
     def test_ceiling(self):
         with pytest.raises(SizeRefusedError):
             count_tied_bruteforce(6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_short_range(self, n):
+        prefix = tied_prefix(n)
+        space = len(prefix) - 1
+        for start in range(space + 1):
+            for stop in range(start, min(start + 10, space) + 1):
+                assert count_tied_range(n, start, stop) == prefix[stop] - prefix[start]
+
+    @given(st.data())
+    def test_drawn_ranges(self, data):
+        prefix = tied_prefix(3)
+        start = data.draw(st.integers(min_value=0, max_value=3**6))
+        stop = data.draw(st.integers(min_value=start, max_value=3**6))
+        assert count_tied_range(3, start, stop) == prefix[stop] - prefix[start]
+
+    def test_one_range_runs_in_process(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a one-range sweep started a pool")
+
+        monkeypatch.setattr(brute, "Pool", no_pool)
+        assert count_tied_bruteforce(2, workers=4) == 3
+        assert count_tied_bruteforce(3, workers=4) == 27
+
+    def test_pool_no_wider_than_ranges(self, monkeypatch):
+        sizes = []
+        real_pool = brute.Pool
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(brute, "Pool", recording_pool)
+        assert count_tied_bruteforce(3, workers=8, chunk=3**5) == 27
+        assert sizes == [3]
 
     def test_home_away_flip_symmetry(self):
         # Swapping home and away in every match permutes outcomes and must
@@ -138,3 +216,17 @@ class TestCompletionSweep:
             doubling = 2 ** sum(1 for t in takes if t in (1, 3, 4))
             total += doubling * count_completions_bruteforce(takes, LeagueSize(n))
         assert total == count_tied_bruteforce(n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_matches_product_reference(self, k, data):
+        # Start from a reachable gain vector and nudge some teams off it, so
+        # both non-zero and zero counts are drawn.
+        weights = completion_weights(k)
+        target = data.draw(st.integers(min_value=0, max_value=30))
+        gains = data.draw(st.sampled_from(sorted(weights)))
+        nudges = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 3)), min_size=k, max_size=k))
+        base = tuple(target - g + d for g, d in zip(gains, nudges))
+        want = weights[tuple(target - b for b in base)]
+        assert completions_sweep(base, target) == want
