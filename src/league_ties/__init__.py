@@ -7,7 +7,7 @@ the rest (practical to n=8).
 """
 
 from .brute import count_completions_bruteforce, count_tied_bruteforce
-from .engine import KNOWN_TOTALS, TiedCountReport, count_tied, resume
+from .engine import ENGINE_VERSION, KNOWN_TOTALS, TiedCountReport, count_tied, resume
 from .eulerian import eulerian_count, eulerian_count_bruteforce
 from .profiles import (
     Profile,
@@ -20,7 +20,7 @@ from .profiles import (
 from .scoring import LeagueSize, complement, pair_outcome, result_points
 from .search import count_completions
 
-__version__ = "0.1.0"
+__version__ = ENGINE_VERSION
 
 #: The counting kernels are pure Python; benchmark records name this backend.
 BACKEND = "pure"

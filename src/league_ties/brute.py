@@ -13,8 +13,7 @@ odometer step fixes all but the first match (season sweep: match 0, team 0
 at home to team 1) or the first pair (completion sweep: teams 0 and 1), and
 closes it in one step: the three results, or six pair codes, are tested
 together, because at most one of them can bring teams 0 and 1 to the
-final level.  The odometer therefore takes ``3**(M-1)`` or ``6**(P-1)``
-steps for ``M`` matches or ``P`` pairs.
+final level.
 
 The third is :func:`completions_search`, a row-by-row recursive search of
 the same completions that only cuts a branch once some team overshoots the
@@ -23,18 +22,28 @@ target.  It shares no code with the deficit DP of
 profile through n = 6, where the completion sweep stops at n = 5.  The
 package itself never calls it; it serves the test suite.
 
+The season sweep works in aligned blocks of ``3**min(M, 10)`` encodings,
+the unit a pool of workers shares: one block for n <= 3, 9 at n = 4 and
+59 049 at n = 5.  Their counts add up to the season's.
+
+Points come from :mod:`league_ties.scoring` alone: the result and pair
+tables, and the odometer steps, which are the differences between
+consecutive codes (the wrap runs from the last code back to the first).
 All values are exact Python integers, so nothing can overflow.  The sweep
-loops avoid attribute lookups and update their bookkeeping incrementally
-instead of re-deriving it per step.
+loops bind their steps to locals, avoid attribute lookups and update their
+bookkeeping incrementally instead of re-deriving it per step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 from multiprocessing import Pool
 
 from .errors import SizeRefusedError
 from .scoring import (
+    PAIR_MULTIPLICITY,
+    PAIR_POINTS,
     LeagueSize,
     TAKE_VALUES,
     as_league_size,
@@ -46,110 +55,83 @@ from .scoring import (
 #: Largest n swept by default; 3**20 encodings is the desk-scale ceiling.
 BRUTE_CEILING = 5
 
-#: Default number of encodings per work chunk.
-DEFAULT_CHUNK = 3**10
-
-# Points of pair code c for the two sides, and the code's multiplicity.
-_PAIR_A = (0, 1, 2, 3, 4, 6)
-_PAIR_B = (6, 4, 2, 3, 1, 0)
-_PAIR_MULT = (1, 2, 1, 2, 2, 1)
-
-# Odometer deltas for bumping a pair code c -> c+1 (c = 0..4).
-_STEP_A = (1, 1, 1, 1, 2)
-_STEP_B = (-2, -2, 1, -2, -1)
-_STEP_DBL = (1, -1, 1, 0, -1)  # change in the number of doubled digits
-
-# Home and away points of match result r (0 away win, 1 draw, 2 home win).
-_HOME = (0, 1, 3)
-_AWAY = (3, 1, 0)
+# Matches swept inside one block of the season sweep: 3**10 encodings.
+_BLOCK_MATCHES = 10
 
 
-def _tied_result(points: list[int], close: dict[int, tuple[int, int, int]]) -> int | None:
-    """The result of match 0 that ties the season, or None if none does."""
-    hit = close.get(points[1] - points[0])
-    if hit is not None and points.count(points[0] + hit[1]) == hit[2]:
-        return hit[0]
-    return None
+def _season_blocks(n: int) -> int:
+    return 3 ** max(n * (n - 1) - _BLOCK_MATCHES, 0)
 
 
-def count_tied_range(n: int, start: int, stop: int) -> int:
-    """Tied outcomes among base-3 season encodings in [start, stop).
+def _steps(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Column-wise change from each row to the next, the last wrapping to the first."""
+    return [tuple(y - x for x, y in zip(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])]
+
+
+def count_tied_block(n: int, block: int) -> int:
+    """Tied outcomes among the ``3**L`` season encodings of one block.
 
     Digit ``i`` of an encoding is the result of match ``i`` in the canonical
-    home-major order; an outcome is tied when all teams finish equal.
-
-    The odometer runs over matches 1..M-1; match 0 (team 0 at home to team
-    1) owns the lowest digit, so each odometer state stands for the three
-    consecutive encodings ``3*q``, ``3*q + 1`` and ``3*q + 2``.  All three
-    are tested at once: a result ties the season when it brings teams 0 and
-    1 level with each other and with every other team.  Whole groups are
-    counted in the loop; the results of the first and last group that fall
-    outside [start, stop) are taken off afterwards.
+    home-major order; an outcome is tied when all teams finish equal.  With
+    ``M`` matches and ``L = min(M, 10)``, the block's encodings start at
+    ``block * 3**L`` and matches L..M-1 take the digits of ``block``.  The
+    odometer runs over matches 1..L-1; match 0 (team 0 at home to team 1)
+    owns the lowest digit, so each odometer state stands for three
+    consecutive encodings, tested at once: a result ties the season when it
+    brings teams 0 and 1 level with each other and with every other team.
     """
     if not 2 <= n <= 9:
         raise ValueError(f"season sweep supports 2 <= n <= 9, got {n}")
-    matches = [(h, a) for h in range(n) for a in range(n) if a != h]
-    m = len(matches)
-    space = 3**m
-    if not 0 <= start <= stop <= space:
-        raise ValueError(f"bad encoding range [{start}, {stop}) for n={n}")
-    if start == stop:
-        return 0
-
-    first, lo = divmod(start, 3)  # results below lo precede start
-    last, hi = divmod(stop - 1, 3)  # results above hi reach stop
-    outer = matches[1:]
-    digits = [0] * (m - 1)
+    if not 0 <= block < _season_blocks(n):
+        raise ValueError(f"bad block {block} for n={n}")
+    results = [result_points(r) for r in range(3)]
+    (step1_h, step1_a), (step2_h, step2_a), (wrap_h, wrap_a) = _steps(results)
+    matches = match_order(n)
+    outer = matches[1:_BLOCK_MATCHES]
+    digits = [0] * len(outer)
     points = [0] * n
-    e = first
-    for i in range(m - 1):
+    e = block * 3 ** len(outer)  # the odometer digits start on result 0
+    for h, a in matches[1:]:
         e, r = divmod(e, 3)
-        digits[i] = r
-        h, a = outer[i]
-        points[h] += _HOME[r]
-        points[a] += _AWAY[r]
+        home, away = results[r]
+        points[h] += home
+        points[a] += away
 
-    # Keyed by team 1's points minus team 0's before match 0: the one result
-    # r that levels the two (home minus away points is -3, 0 or 3, so at
-    # most one can), team 0's points from it, and how many teams sit on the
-    # final level before match 0 when the season ties: the n - 2 others plus
-    # whichever of teams 0 and 1 takes nothing from match 0 (none on a draw).
+    # Keyed by team 1's points minus team 0's before match 0: the team 0
+    # points of the one result that levels the two (home minus away points
+    # differ between results, so at most one can), and how many teams sit on
+    # the final level before match 0 when the season ties: the n - 2 others
+    # plus whichever of teams 0 and 1 takes nothing from match 0.
     close = {
-        home - away: (r, home, n - 2 + (home == 0 or away == 0))
-        for r, (home, away) in enumerate(zip(_HOME, _AWAY))
+        home - away: (home, n - 2 + (home == 0) + (away == 0)) for home, away in results
     }
-    r = _tied_result(points, close)
-    count = -1 if r is not None and r < lo else 0
-    remaining = last - first + 1
+    count = 0
+    remaining = 3 ** len(outer)
     while True:
-        hit = close.get(points[1] - points[0])  # _tied_result, inlined
-        if hit is not None and points.count(points[0] + hit[1]) == hit[2]:
+        hit = close.get(points[1] - points[0])
+        if hit is not None and points.count(points[0] + hit[0]) == hit[1]:
             count += 1
         remaining -= 1
         if remaining == 0:
-            break
+            return count
         i = 0
         while True:
             h, a = outer[i]
             r = digits[i]
-            if r == 0:  # away win -> draw
+            if r == 0:
                 digits[i] = 1
-                points[h] += 1
-                points[a] -= 2
+                points[h] += step1_h
+                points[a] += step1_a
                 break
-            if r == 1:  # draw -> home win
+            if r == 1:
                 digits[i] = 2
-                points[h] += 2
-                points[a] -= 1
+                points[h] += step2_h
+                points[a] += step2_a
                 break
-            digits[i] = 0  # home win -> away win, carry
-            points[h] -= 3
-            points[a] += 3
+            digits[i] = 0  # last result -> first, carry
+            points[h] += wrap_h
+            points[a] += wrap_a
             i += 1
-    r = _tied_result(points, close)
-    if r is not None and r > hi:
-        count -= 1
-    return count
 
 
 def completions_sweep(base: tuple[int, ...], target: int) -> int:
@@ -180,16 +162,25 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
     # before pair 0 when the assignment ties (the k - 2 others plus a team
     # that takes nothing from pair 0).
     close = {
-        target - a: (target - b, mult, k - 2 + (a == 0 or b == 0))
-        for a, b, mult in zip(_PAIR_A, _PAIR_B, _PAIR_MULT)
+        target - a: (target - b, mult, k - 2 + (a == 0) + (b == 0))
+        for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
     }
+    # Multiplicities are 1 or 2, so an assignment weighs pair 0's
+    # multiplicity shifted by the number of doubled odometer codes.
+    rows = [(a, b, mult - 1) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)]
+    *steps, (wrap_a, wrap_b, wrap_dbl) = _steps(rows)
+    step_a, step_b, step_dbl = zip(*steps)
+    last = len(rows) - 1
+
     outer = pairs[1:]
     codes = [0] * (m - 1)
-    for _, j in outer:  # code 0 gives (0, 6)
-        points[j] += 6
-    doubled = 0
+    first_a, first_b, doubled = rows[0]  # the odometer codes start on code 0
+    for i, j in outer:
+        points[i] += first_a
+        points[j] += first_b
+    doubled *= m - 1
     count = 0
-    remaining = 6 ** (m - 1)
+    remaining = len(rows) ** (m - 1)
     while True:
         hit = close.get(points[0])
         if hit is not None and points[1] == hit[0] and points.count(target) == hit[2]:
@@ -201,16 +192,17 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
         while True:
             c = codes[idx]
             i, j = outer[idx]
-            if c == 5:  # wrap (6,0) -> (0,6), carry; multiplicity unchanged
+            if c == last:  # last code -> first, carry
                 codes[idx] = 0
-                points[i] -= 6
-                points[j] += 6
+                points[i] += wrap_a
+                points[j] += wrap_b
+                doubled += wrap_dbl
                 idx += 1
             else:
                 codes[idx] = c + 1
-                points[i] += _STEP_A[c]
-                points[j] += _STEP_B[c]
-                doubled += _STEP_DBL[c]
+                points[i] += step_a[c]
+                points[j] += step_b[c]
+                doubled += step_dbl[c]
                 break
 
 
@@ -245,10 +237,10 @@ def completions_search(
 
     weight = 1
     for d, code in enumerate(prefix):
-        points[0] += _PAIR_A[code]
-        points[d + 1] += _PAIR_B[code]
-        if _PAIR_MULT[code] == 2:
-            weight <<= 1
+        a, b = PAIR_POINTS[code]
+        points[0] += a
+        points[d + 1] += b
+        weight *= PAIR_MULTIPLICITY[code]
         if points[0] > target or points[d + 1] > target:
             return 0
     return _search_row(points, target, 0, 1 + len(prefix), weight)
@@ -270,15 +262,14 @@ def _search_row(points: list[int], target: int, i: int, j: int, w: int) -> int:
     total = 0
     pi = points[i]
     pj = points[j]
-    for code in range(6):
-        na = pi + _PAIR_A[code]
-        nb = pj + _PAIR_B[code]
+    for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY):
+        na = pi + a
+        nb = pj + b
         if na > target or nb > target:
             continue
         points[i] = na
         points[j] = nb
-        mult = _PAIR_MULT[code]
-        total += _search_row(points, target, i, j + 1, w << 1 if mult == 2 else w)
+        total += _search_row(points, target, i, j + 1, w * mult)
     points[i] = pi
     points[j] = pj
     return total
@@ -323,26 +314,21 @@ def tally_points(results: Sequence[int], size: LeagueSize | int) -> tuple[int, .
     return tuple(points)
 
 
-def _count_range_task(args: tuple[int, int, int]) -> int:
-    n, start, stop = args
-    return count_tied_range(n, start, stop)
-
-
 def count_tied_bruteforce(
     size: LeagueSize | int,
     *,
     allow_large: bool = False,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> int:
     """Count tied outcomes by sweeping all ``3**M`` season encodings.
 
     Refuses ``n > 5`` unless ``allow_large`` is set: the n=5 sweep already
     tests ~3.5e9 encodings and every further team multiplies the space by
-    ``3**(2n)``.  The sweep is split into contiguous ranges of ``chunk``
-    encodings; partial counts combine by addition, so any ``workers`` count
-    gives the same total.  A sweep of one range runs in-process, and a pool
-    never starts more workers than there are ranges.
+    ``3**(2n)``.  The sweep is split into aligned blocks of ``3**10``
+    encodings (one block of ``3**M`` when ``M < 10``), see
+    :func:`count_tied_block`; block counts combine by addition, so any
+    ``workers`` count gives the same total.  A sweep of one block runs
+    in-process, and a pool never starts more workers than there are blocks.
     """
     size = as_league_size(size)
     if size.n > BRUTE_CEILING and not allow_large:
@@ -350,14 +336,12 @@ def count_tied_bruteforce(
             f"brute-force sweep of n={size.n} means 3**{size.matches} outcomes; "
             f"the default ceiling is n={BRUTE_CEILING} (pass allow_large to override)"
         )
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    space = 3**size.matches
-    ranges = [(size.n, s, min(s + chunk, space)) for s in range(0, space, chunk)]
-    if workers <= 1 or len(ranges) == 1:
-        return sum(_count_range_task(r) for r in ranges)
-    with Pool(min(workers, len(ranges))) as pool:
-        return sum(pool.imap_unordered(_count_range_task, ranges, chunksize=16))
+    blocks = _season_blocks(size.n)
+    if workers <= 1 or blocks == 1:
+        return sum(count_tied_block(size.n, b) for b in range(blocks))
+    sweep = partial(count_tied_block, size.n)
+    with Pool(min(workers, blocks)) as pool:
+        return sum(pool.imap_unordered(sweep, range(blocks), chunksize=16))
 
 
 def _check_takes(takes: Sequence[int], n: int) -> tuple[int, ...]:

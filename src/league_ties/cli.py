@@ -31,19 +31,6 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 
-def _default_workers() -> int:
-    env = os.environ.get("LEAGUE_TIES_WORKERS", "")
-    if env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise SystemExit(
-                f"LEAGUE_TIES_WORKERS must be an integer, got {env!r}"
-            ) from None
-        return max(1, value)
-    return 1
-
-
 def _report_json(report: TiedCountReport, method: str) -> dict:
     return {
         "n": report.n,
@@ -218,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=_default_workers(),
             help="worker processes (default: $LEAGUE_TIES_WORKERS or 1)",
         )
 
@@ -269,8 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
+    if hasattr(args, "workers"):  # only the subcommands that run counts
+        source = "--workers"
+        if args.workers is None:
+            source = "LEAGUE_TIES_WORKERS"
+            env = os.environ.get(source, "").strip() or "1"
+            try:
+                args.workers = int(env)
+            except ValueError:
+                parser.error(f"{source} must be an integer, got {env!r}")
+        if args.workers < 1:
+            parser.error(f"{source} must be >= 1")
     try:
         return args.func(args)
     except SizeRefusedError as exc:

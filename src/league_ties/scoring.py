@@ -6,28 +6,46 @@ as 0 (away win), 1 (draw) or 2 (home win).  The home-and-away matches of
 one pair of teams are often treated together; the combined points the two
 teams take from such a double encounter form one of six tuples, three of
 which arise from two distinct orderings and therefore carry multiplicity 2.
+
+``_RESULT_POINTS`` is the one hand-written statement of the rule.  Folding
+the nine (first leg, second leg) results of one pairing gives
+``PAIR_POINTS``, sorted by the first side's points (the search and the
+brute-force odometers rely on this code order), and ``PAIR_MULTIPLICITY``;
+``TAKE_VALUES``, ``DOUBLED_TAKES`` and :func:`complement` are read off them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteTableError
 
+#: (home, away) points of match result 0 (away win), 1 (draw) and 2 (home win).
+_RESULT_POINTS = ((0, 3), (1, 1), (3, 0))
+
+#: The six (points_a, points_b) tuples of a double encounter, indexed by code,
+#: and the number of (first leg at A's ground, second leg at B's) result pairs
+#: realising each.
+PAIR_POINTS, PAIR_MULTIPLICITY = zip(
+    *sorted(
+        Counter(
+            (a_home + a_away, b_away + b_home)
+            for a_home, b_away in _RESULT_POINTS
+            for b_home, a_away in _RESULT_POINTS
+        ).items()
+    )
+)
+
 #: Points one team can take from a home/away double encounter.
-TAKE_VALUES = (0, 1, 2, 3, 4, 6)
-
-#: The six (points_a, points_b) tuples of a double encounter, indexed by code.
-PAIR_POINTS = ((0, 6), (1, 4), (2, 2), (3, 3), (4, 1), (6, 0))
-
-#: Number of ordered (home result, away result) pairs realising each tuple.
-PAIR_MULTIPLICITY = (1, 2, 1, 2, 2, 1)
+TAKE_VALUES = tuple(a for a, _ in PAIR_POINTS)
 
 #: Takes realised by two distinct orderings of the underlying match results.
-DOUBLED_TAKES = frozenset({1, 3, 4})
+DOUBLED_TAKES = frozenset(
+    a for (a, _), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY) if mult == 2
+)
 
-_COMPLEMENT = {0: 6, 1: 4, 2: 2, 3: 3, 4: 1, 6: 0}
-_RESULT_POINTS = ((0, 3), (1, 1), (3, 0))
+_COMPLEMENT = dict(PAIR_POINTS)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +12,8 @@ from league_ties import brute
 from league_ties.brute import (
     completions_sweep,
     count_completions_bruteforce,
+    count_tied_block,
     count_tied_bruteforce,
-    count_tied_range,
     decode_outcome,
     encode_outcome,
     tally_points,
@@ -27,17 +27,6 @@ from league_ties.scoring import (
     match_order,
     result_points,
 )
-
-
-@cache
-def tied_prefix(n):
-    """Tied encodings below each bound, one decode and tally per encoding."""
-    size = LeagueSize(n)
-    flags = []
-    for e in range(3**size.matches):
-        points = tally_points(decode_outcome(e, size), size)
-        flags.append(min(points) == max(points))
-    return [0, *accumulate(flags)]
 
 
 @cache
@@ -116,30 +105,31 @@ class TestSeasonSweep:
 
     def test_chunking_and_workers_do_not_matter(self):
         expected = count_tied_bruteforce(3)
-        assert count_tied_bruteforce(3, chunk=1) == expected
-        assert count_tied_bruteforce(3, chunk=2) == expected
-        assert count_tied_bruteforce(3, chunk=7) == expected
-        assert count_tied_bruteforce(3, chunk=3**6) == expected
-        assert count_tied_bruteforce(3, workers=2, chunk=50) == expected
+        assert count_tied_bruteforce(3, workers=2) == expected
 
     def test_ceiling(self):
         with pytest.raises(SizeRefusedError):
             count_tied_bruteforce(6)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_every_short_range(self, n):
-        prefix = tied_prefix(n)
-        space = len(prefix) - 1
-        for start in range(space + 1):
-            for stop in range(start, min(start + 10, space) + 1):
-                assert count_tied_range(n, start, stop) == prefix[stop] - prefix[start]
+    @pytest.mark.parametrize("n, block", [(2, 0), (3, 0), (4, 0), (4, 8)])
+    def test_whole_block_matches_reference(self, n, block):
+        # A block is 3**min(M, 10) aligned encodings; the reference decodes
+        # and tallies each one.
+        size = LeagueSize(n)
+        span = 3 ** min(size.matches, 10)
+        want = 0
+        for e in range(block * span, (block + 1) * span):
+            points = tally_points(decode_outcome(e, size), size)
+            want += min(points) == max(points)
+        assert count_tied_block(n, block) == want
 
-    @given(st.data())
-    def test_drawn_ranges(self, data):
-        prefix = tied_prefix(3)
-        start = data.draw(st.integers(min_value=0, max_value=3**6))
-        stop = data.draw(st.integers(min_value=start, max_value=3**6))
-        assert count_tied_range(3, start, stop) == prefix[stop] - prefix[start]
+    def test_block_out_of_range(self):
+        with pytest.raises(ValueError):
+            count_tied_block(3, 1)
+        with pytest.raises(ValueError):
+            count_tied_block(4, -1)
+        with pytest.raises(ValueError):
+            count_tied_block(4, 9)
 
     def test_one_range_runs_in_process(self, monkeypatch):
         def no_pool(*args):
@@ -158,8 +148,8 @@ class TestSeasonSweep:
             return real_pool(processes)
 
         monkeypatch.setattr(brute, "Pool", recording_pool)
-        assert count_tied_bruteforce(3, workers=8, chunk=3**5) == 27
-        assert sizes == [3]
+        assert count_tied_bruteforce(4, workers=16) == 1083
+        assert sizes == [9]
 
     def test_home_away_flip_symmetry(self):
         # Swapping home and away in every match permutes outcomes and must

@@ -1,12 +1,17 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import league_ties
 from league_ties import cli
 from league_ties.cli import main
-from league_ties.engine import KNOWN_TOTALS, count_tied
+from league_ties.engine import ENGINE_VERSION, KNOWN_TOTALS, count_tied
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +112,15 @@ class TestCount:
             main(["count", "--teams", "3", "--workers", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("env", ["0", "abc"])
+    def test_invalid_workers_env(self, capsys, monkeypatch, env):
+        # The variable is checked like --workers: a usage error, exit 2.
+        monkeypatch.setenv("LEAGUE_TIES_WORKERS", env)
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--teams", "3"])
+        assert info.value.code == 2
+        assert "LEAGUE_TIES_WORKERS" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_range(self, capsys):
@@ -128,6 +142,13 @@ class TestVerify:
 
 
 class TestProfiles:
+    def test_ignores_workers_env(self, capsys, monkeypatch):
+        # profiles takes no --workers, so the variable is never read.
+        monkeypatch.setenv("LEAGUE_TIES_WORKERS", "abc")
+        code, out, _ = run_cli(capsys, "profiles", "--teams", "2")
+        assert code == 0
+        assert "6 profiles" in out
+
     def test_three_team_listing(self, capsys):
         code, out, _ = run_cli(capsys, "profiles", "--teams", "3")
         assert code == 0
@@ -179,3 +200,18 @@ class TestResume:
         assert code == 2
         assert "header" in err
 
+
+
+class TestVersion:
+    def test_one_version_string(self):
+        # A regex, not tomllib: the suite also runs on Python 3.10.
+        match = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == ENGINE_VERSION
+        assert league_ties.__version__ == ENGINE_VERSION
+
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"league-ties {ENGINE_VERSION}\n"

@@ -6,6 +6,7 @@ import pytest
 
 from league_ties.errors import IncompleteTableError
 from league_ties.scoring import (
+    DOUBLED_TAKES,
     LeagueSize,
     PAIR_MULTIPLICITY,
     PAIR_POINTS,
@@ -106,6 +107,26 @@ class TestPairOutcome:
     def test_rejects_bad_code(self, bad):
         with pytest.raises(ValueError):
             pair_outcome(bad)
+
+
+class TestDerivedTables:
+    """The encounter tables are folded from the match rule; pin their literals."""
+
+    def test_pair_points_and_multiplicities(self):
+        assert PAIR_POINTS == ((0, 6), (1, 4), (2, 2), (3, 3), (4, 1), (6, 0))
+        assert PAIR_MULTIPLICITY == (1, 2, 1, 2, 2, 1)
+        assert type(PAIR_POINTS) is tuple and type(PAIR_MULTIPLICITY) is tuple
+        assert all(type(points) is tuple for points in PAIR_POINTS)
+
+    def test_takes(self):
+        assert TAKE_VALUES == (0, 1, 2, 3, 4, 6)
+        assert DOUBLED_TAKES == {1, 3, 4}
+        assert type(TAKE_VALUES) is tuple and type(DOUBLED_TAKES) is frozenset
+
+    def test_complement_map(self):
+        assert {t: complement(t) for t in TAKE_VALUES} == {
+            0: 6, 1: 4, 2: 2, 3: 3, 4: 1, 6: 0
+        }
 
 
 class TestComplement:

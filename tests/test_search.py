@@ -25,17 +25,6 @@ from league_ties.search import (
 )
 
 
-def test_kernel_tables_match_scoring():
-    # The brute-force kernels keep their own copies of the pair tables; they
-    # must never drift from the scoring module's definitions.
-    from league_ties.scoring import PAIR_MULTIPLICITY, PAIR_POINTS, result_points
-
-    assert brute._PAIR_A == tuple(a for a, _ in PAIR_POINTS)
-    assert brute._PAIR_B == tuple(b for _, b in PAIR_POINTS)
-    assert brute._PAIR_MULT == PAIR_MULTIPLICITY
-    assert tuple(zip(brute._HOME, brute._AWAY)) == tuple(result_points(r) for r in range(3))
-
-
 class TestCountCompletions:
     def test_mirror_pair(self):
         assert count_completions(Profile((4, 1))) == 2
