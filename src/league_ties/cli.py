@@ -207,6 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="worker processes (default: $LEAGUE_TIES_WORKERS or 1)",
         )
+        # A bad worker count is checked after parsing; report it under this
+        # subcommand's usage line.
+        p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("count", help="count tied outcomes for one league size")
     p.add_argument("--teams", type=int, required=True, metavar="N")
@@ -263,9 +266,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args.workers = int(env)
             except ValueError:
-                parser.error(f"{source} must be an integer, got {env!r}")
+                args.usage_error(f"{source} must be an integer, got {env!r}")
         if args.workers < 1:
-            parser.error(f"{source} must be >= 1")
+            args.usage_error(f"{source} must be >= 1")
     try:
         return args.func(args)
     except SizeRefusedError as exc:

@@ -23,7 +23,12 @@ assignment of up to three pair codes by the points it gives the row owner,
 sorted by the points it gives the opponents.  The same 4-to-6-points check,
 applied to the opponents once the row closes, gives a window for those
 points, so the entries outside it are passed over before any deficit tuple
-is built; the memo and its key are unchanged.
+is built; the memo and its key are unchanged.  An entry inside the window
+lists the deficits left, sorted, and is dropped when the smallest is
+negative: the deficits kept from earlier in the row are never negative, so
+that sign is the check that each take fits under its opponent's deficit.
+The sorted list is the key, looked up once; a miss is counted and stored
+without a second lookup.
 
 Tail opponents with equal deficits are interchangeable: swapping their codes
 changes none of the owner's points, the opponents' total, the fit of each
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import factorial, prod
-from operator import gt, sub
+from operator import sub
 
 from .profiles import Profile
 from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
@@ -215,18 +220,28 @@ def _row(
     merely fold less.  Neither caller passes one: :func:`_solve` passes
     sorted deficits, and :func:`count_completions` those of a profile's
     weakly descending takes, which are equal only where the takes are.
-    Each key is read from ``memo`` here, and :func:`_solve` runs only on a
-    miss.
+    The window cut comes before any key is built.  Inside it, each entry
+    sorts the deficits left and is dropped when the smallest is negative:
+    ``rest`` never holds a negative deficit, so only a take above its tail
+    deficit can leave one.  A key is read from ``memo`` once, and a miss
+    goes straight to :func:`_fill`.  A row with no encounters left (at two
+    teams, or when a prefix fills it) has no tail table to read and
+    leaves the sorted ``rest`` to :func:`_solve`.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
+    if not width:
+        # A filled row leaves the sorted deficits of ``rest``, or no key at all.
+        return _solve(tuple(sorted(rest)), memo)
     if width <= _TAIL_WIDTH:
         tail = deficits[j:]
+        # Widths above 3 would leave the higher bits clear and only fold less.
         pattern = 0
-        for i in range(width - 1):
-            if tail[i] == tail[i + 1]:
-                pattern |= 1 << i
+        if width > 1:
+            pattern = tail[0] == tail[1]
+            if width > 2:
+                pattern |= (tail[1] == tail[2]) << 1
         get = memo.get
         total = 0
         for taken, takes, mult in _TAILS[width][pattern][need]:
@@ -234,14 +249,14 @@ def _row(
                 continue
             if taken > hi:
                 break
-            if any(map(gt, takes, tail)):
-                continue
-            left = rest + list(map(sub, tail, takes))
+            left = [*rest, *map(sub, tail, takes)]
             left.sort()
+            if left[0] < 0:
+                continue
             key = tuple(left)
             count = get(key)
             if count is None:
-                count = _solve(key, memo)
+                count = _fill(key, memo)
             total += mult * count
         return total
     dj = deficits[j]
@@ -257,19 +272,33 @@ def _row(
 
 
 def _solve(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
-    """Weighted ways for teams with these (sorted) deficits to meet them exactly."""
-    m = len(deficits)
-    if m < 2:
-        return 1 if m == 0 or deficits[0] == 0 else 0
+    """Weighted ways for teams with these (sorted) deficits to meet them exactly.
+
+    For direct calls: one lookup, then the check that the open encounters
+    can hand out the deficits' sum.  The tail pass of :func:`_row` does not
+    come here, because its window cut is that check.
+    """
     total = memo.get(deficits)
     if total is None:
-        # Rows closed from a tail table already passed this check as their
-        # window; only a direct call can fail it.
+        m = len(deficits)
         pairs = m * (m - 1) // 2
         if not 4 * pairs <= sum(deficits) <= 6 * pairs:
             return 0
-        lo, hi = _window(deficits)
-        total = memo[deficits] = _row(deficits, 1, deficits[0], [], lo, hi, memo)
+        total = _fill(deficits, memo)
+    return total
+
+
+def _fill(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+    """Count sorted deficits missing from ``memo``, and store the count.
+
+    The caller has checked that the open encounters can hand out the
+    deficits' sum.  Fewer than two teams have no row and are not stored:
+    that check leaves them only ``()`` and ``(0,)``, each met one way.
+    """
+    if len(deficits) < 2:
+        return 1
+    lo, hi = _window(deficits)
+    total = memo[deficits] = _row(deficits, 1, deficits[0], [], lo, hi, memo)
     return total
 
 

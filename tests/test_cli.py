@@ -121,6 +121,30 @@ class TestCount:
         assert info.value.code == 2
         assert "LEAGUE_TIES_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["count", "--teams", "3", "--workers", "0"], None),
+            (["count", "--teams", "3"], "abc"),
+            (["verify", "--workers", "0"], None),
+            (["resume", "--checkpoint", "x.ledger"], "0"),
+        ],
+        ids=["count-flag", "count-env", "verify-flag", "resume-env"],
+    )
+    def test_invalid_workers_usage_names_the_subcommand(
+        self, capsys, monkeypatch, argv, env
+    ):
+        # The usage line above the message is the subcommand's, with its
+        # options, not the top-level list of subcommands.
+        if env is not None:
+            monkeypatch.setenv("LEAGUE_TIES_WORKERS", env)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: league-ties {argv[0]} ")
+        assert "[--workers WORKERS]" in err
+
 
 class TestVerify:
     def test_small_range(self, capsys):

@@ -2,7 +2,7 @@
 
 import gc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
@@ -36,7 +36,7 @@ class TestCountCompletions:
         assert count_completions(Profile((3,))) == 1
         assert count_completions(Profile((6,))) == 0
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_sweep_exhaustively(self, n):
         for p in iter_profiles(n):
             assert count_completions(p) == count_completions_bruteforce(p.takes, n), p
@@ -95,6 +95,30 @@ class TestDeficitDP:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_recursive_search(self, n):
         assert_dp_matches_recursive_search(n)
+
+    @pytest.mark.parametrize(
+        "m, top, oracle",
+        [
+            (2, 7, brute.completions_sweep),
+            (3, 13, brute.completions_sweep),
+            (4, 11, brute.completions_search),
+        ],
+        ids=["two-sweep", "three-sweep", "four-search"],
+    )
+    def test_every_small_deficit_tuple(self, m, top, oracle):
+        # Every sorted tuple of m deficits in 0..top, small and zero ones
+        # included, whose rows close from the tail tables by the sign of
+        # the smallest residual; once per tuple and once through one memo.
+        # A take that overshoots its deficit would still count zero, so the
+        # memo's keys show whether the sign check let one through.
+        shared = {}
+        for deficits in combinations_with_replacement(range(top + 1), m):
+            target = max(deficits)
+            want = oracle(tuple(target - d for d in deficits), target)
+            assert _solve(deficits, {}) == want, deficits
+            assert _solve(deficits, shared) == want, deficits
+        assert shared
+        assert all(key[0] >= 0 for key in shared)
 
     @pytest.mark.long
     def test_matches_recursive_search_seven_teams(self):
@@ -259,8 +283,9 @@ class TestClosedFormSlices:
 
 
 class TestPrefixSplitting:
-    @pytest.mark.parametrize("length", [0, 1, 2])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
     def test_prefixes_partition_the_count(self, length):
+        # Length 3 fills team 2's row at n = 5, leaving no tail to close.
         for p in iter_profiles(5):
             if classify_profile(p) is not ProfileClass.SEARCH:
                 continue
