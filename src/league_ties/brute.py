@@ -52,7 +52,7 @@ from .scoring import (
     result_points,
 )
 
-#: Largest n swept by default; 3**20 encodings is the desk-scale ceiling.
+#: Largest n swept; 3**20 encodings is the desk-scale ceiling.
 BRUTE_CEILING = 5
 
 # Matches swept inside one block of the season sweep: 3**10 encodings.
@@ -80,8 +80,8 @@ def count_tied_block(n: int, block: int) -> int:
     consecutive encodings, tested at once: a result ties the season when it
     brings teams 0 and 1 level with each other and with every other team.
     """
-    if not 2 <= n <= 9:
-        raise ValueError(f"season sweep supports 2 <= n <= 9, got {n}")
+    if not 2 <= n <= BRUTE_CEILING:
+        raise ValueError(f"season sweep supports 2 <= n <= {BRUTE_CEILING}, got {n}")
     if not 0 <= block < _season_blocks(n):
         raise ValueError(f"bad block {block} for n={n}")
     results = [result_points(r) for r in range(3)]
@@ -314,27 +314,22 @@ def tally_points(results: Sequence[int], size: LeagueSize | int) -> tuple[int, .
     return tuple(points)
 
 
-def count_tied_bruteforce(
-    size: LeagueSize | int,
-    *,
-    allow_large: bool = False,
-    workers: int = 1,
-) -> int:
+def count_tied_bruteforce(size: LeagueSize | int, *, workers: int = 1) -> int:
     """Count tied outcomes by sweeping all ``3**M`` season encodings.
 
-    Refuses ``n > 5`` unless ``allow_large`` is set: the n=5 sweep already
-    tests ~3.5e9 encodings and every further team multiplies the space by
-    ``3**(2n)``.  The sweep is split into aligned blocks of ``3**10``
-    encodings (one block of ``3**M`` when ``M < 10``), see
-    :func:`count_tied_block`; block counts combine by addition, so any
-    ``workers`` count gives the same total.  A sweep of one block runs
-    in-process, and a pool never starts more workers than there are blocks.
+    Refuses ``n > 5``: the n=5 sweep already tests ~3.5e9 encodings, and the
+    n=6 sweep, 3**30 of them, would take about 340 days at 7e6 a second.
+    The sweep is split into aligned blocks of ``3**10`` encodings (one block
+    of ``3**M`` when ``M < 10``), see :func:`count_tied_block`; block counts
+    combine by addition, so any ``workers`` count gives the same total.  A
+    sweep of one block runs in-process, and a pool never starts more
+    workers than there are blocks.
     """
     size = as_league_size(size)
-    if size.n > BRUTE_CEILING and not allow_large:
+    if size.n > BRUTE_CEILING:
         raise SizeRefusedError(
             f"brute-force sweep of n={size.n} means 3**{size.matches} outcomes; "
-            f"the default ceiling is n={BRUTE_CEILING} (pass allow_large to override)"
+            f"the ceiling is n={BRUTE_CEILING}"
         )
     blocks = _season_blocks(size.n)
     if workers <= 1 or blocks == 1:

@@ -55,25 +55,19 @@ def _print_report(report: TiedCountReport) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n = args.teams
-    if args.method in ("brute", "both") and n > BRUTE_CEILING and not args.allow_large_brute:
-        raise SizeRefusedError(
-            f"brute-force sweep is refused for n > {BRUTE_CEILING}; "
-            f"pass --allow-large-brute to override"
-        )
-
-    # Optimised first, so that its size refusal fires before any sweep starts.
-    report = None
-    if args.method in ("optimized", "both"):
-        report = count_tied(n, workers=args.workers, checkpoint=args.checkpoint)
-
+    # The sweep first: it refuses n > BRUTE_CEILING before sweeping, which
+    # covers every size the optimised count refuses, so a refused size
+    # neither runs a count nor writes a ledger.
     brute_total = None
     brute_elapsed = 0.0
     if args.method in ("brute", "both"):
         t0 = time.perf_counter()
-        brute_total = count_tied_bruteforce(
-            n, allow_large=args.allow_large_brute, workers=args.workers
-        )
+        brute_total = count_tied_bruteforce(n, workers=args.workers)
         brute_elapsed = time.perf_counter() - t0
+
+    report = None
+    if args.method in ("optimized", "both"):
+        report = count_tied(n, workers=args.workers, checkpoint=args.checkpoint)
 
     if args.method == "both" and report is not None and brute_total != report.total:
         print(
@@ -219,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers(p)
     p.add_argument("--checkpoint", metavar="PATH", help="ledger file for resumable runs")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--allow-large-brute",
-        action="store_true",
-        help=f"lift the n <= {BRUTE_CEILING} brute-force ceiling",
-    )
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="compare brute-force and optimised totals")

@@ -114,6 +114,11 @@ class CheckpointLedger:
             raise CheckpointError(f"{path}: unreadable header: {exc}") from None
         if not isinstance(header, dict) or header.get("kind") != "header" or "n" not in header:
             raise CheckpointError(f"{path}: not a checkpoint ledger")
+        if type(header["n"]) is not int:
+            raise CheckpointError(
+                f"{path}: not a checkpoint ledger (header n={header['n']!r} "
+                f"is not an integer)"
+            )
         return header
 
     def load(self) -> dict[tuple[int, ...], int]:
@@ -166,6 +171,8 @@ class CheckpointLedger:
 
     def _parse_entry(self, line: bytes) -> tuple[tuple[int, ...], int]:
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("record is not a JSON object")
         if record.get("kind") != "entry":
             raise ValueError(f"unexpected record kind {record.get('kind')!r}")
         takes = tuple(record["takes"])
@@ -472,7 +479,7 @@ def resume(
     """Finish an interrupted count from its checkpoint ledger."""
     header = CheckpointLedger.read_header(checkpoint)
     return count_tied(
-        int(header["n"]),
+        header["n"],
         workers=workers,
         checkpoint=checkpoint,
         progress=progress,

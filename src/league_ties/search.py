@@ -34,9 +34,11 @@ Tail opponents with equal deficits are interchangeable: swapping their codes
 changes none of the owner's points, the opponents' total, the fit of each
 take under its deficit or the sorted deficits left.  So each tail table is
 kept once per pattern of equal neighbouring deficits, and within each run of
-equal deficits it lists one ordering per multiset of codes, weighted by the
-number of its distinct orderings.  A row looks up each key once instead of
-once per ordering; the memo gains no key and loses none.
+equal deficits it lists one ordering per multiset of codes.  The tables are
+built by adding one code at a time and merging the orderings that sort to
+the same entry, so each weight is the sum of the weights of the orderings it
+stands for.  A row looks up each key once instead of once per ordering; the
+memo gains no key and loses none.
 
 The test suite checks this DP against :func:`league_ties.brute.completions_search`,
 a plain recursive row search that shares no code with it.
@@ -44,8 +46,8 @@ a plain recursive row search that shares no code with it.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
-from math import factorial, prod
 from operator import sub
 
 from .profiles import Profile
@@ -64,83 +66,47 @@ _TAIL_WIDTH = 3
 _Table = tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
 
 
-def _tail_tables() -> list[_Table]:
-    """Every assignment of ``w`` pair codes, grouped by the owner's points, per width ``w``.
+def _tail_tables() -> tuple[tuple[_Table, ...], ...]:
+    """Every assignment of up to ``_TAIL_WIDTH`` codes, per width and pattern.
 
-    Entry ``k`` of width ``w`` lists the assignments worth ``k`` points to
-    the row owner as (points to the opponents in total, points to each
-    opponent, weight), in ascending order of the total.  Each width extends
-    the assignments of the one before by one code.
+    ``_TAILS[w][pattern][k]`` lists the assignments of ``w`` codes worth
+    ``k`` points to the row owner as (points to the opponents in total,
+    points to each opponent, weight), in ascending order.  Bit ``i`` of
+    ``pattern`` is set when tail opponents ``i`` and ``i + 1`` have equal
+    deficits; within each such run only the non-decreasing ordering of the
+    takes is kept.  Each width extends the table of the one before by one
+    code, sorts the run the new code joins and sums the weights of the
+    orderings that land on the same entry, so a weight is the sum of the
+    code multiplicities' products over the orderings it stands for.
+    Pattern 0 keeps every assignment with the product as its weight.
     """
-    tables: list[_Table] = [(((0, (), 1),),)]
+    tables = [((((0, (), 1),),),)]
     for width in range(1, _TAIL_WIDTH + 1):
-        by_need: list[list[tuple[int, tuple[int, ...], int]]] = [
-            [] for _ in range(6 * width + 1)
-        ]
-        for need, entries in enumerate(tables[-1]):
-            for taken, takes, mult in entries:
-                for a, b, code_mult in _CODES:
-                    by_need[need + a].append((taken + b, takes + (b,), mult * code_mult))
-        tables.append(tuple(tuple(sorted(entries)) for entries in by_need))
-    return tables
-
-
-def _run_lengths(mask: int, width: int) -> list[int]:
-    """Lengths of the runs into which the set bits of ``mask`` join ``width`` positions.
-
-    Bit ``i`` joins positions ``i`` and ``i + 1``.
-    """
-    lengths = [1]
-    for i in range(width - 1):
-        if mask >> i & 1:
-            lengths[-1] += 1
-        else:
-            lengths.append(1)
-    return lengths
-
-
-def _fold(table: _Table, width: int) -> tuple[_Table, ...]:
-    """The tail table ``table`` of ``width``, once per equal-deficit pattern.
-
-    Bit ``i`` of a pattern is set when tail opponents ``i`` and ``i + 1``
-    have equal deficits.  Swapping codes between two such opponents changes
-    neither the owner's points, nor the opponents' total, nor which takes
-    fit the deficits, nor the sorted deficits left.  So within each run of
-    equal deficits only the assignment with non-decreasing takes is kept,
-    weighted by the number of distinct orderings of its takes: the product
-    of the runs' factorials over that of the factorials of its runs of equal
-    takes.  Entries keep the order of ``table``, and pattern 0 is ``table``.
-    """
-    patterns = range(1 << max(width - 1, 0))
-    orderings = [
-        [
-            prod(map(factorial, _run_lengths(pattern, width)))
-            // prod(map(factorial, _run_lengths(ties, width)))
-            for ties in patterns
-        ]
-        for pattern in patterns
-    ]
-    folded = [[[] for _ in table] for _ in patterns]
-    for need, entries in enumerate(table):
-        for taken, takes, mult in entries:
-            descents = ties = 0
-            for i in range(width - 1):
-                if takes[i] > takes[i + 1]:
-                    descents |= 1 << i
-                elif takes[i] == takes[i + 1]:
-                    ties |= 1 << i
-            for pattern in patterns[1:]:
-                if not descents & pattern:
-                    folded[pattern][need].append(
-                        (taken, takes, mult * orderings[pattern][ties & pattern])
-                    )
-    return (table,) + tuple(tuple(map(tuple, by_need)) for by_need in folded[1:])
+        folded = []
+        for pattern in range(1 << (width - 1)):
+            start = width - 1  # the run the new code joins starts here
+            while start and pattern >> (start - 1) & 1:
+                start -= 1
+            merged = [Counter() for _ in range(6 * width + 1)]
+            # The pattern of the first width - 1 opponents is the low bits.
+            previous = tables[-1][pattern % len(tables[-1])]
+            for need, entries in enumerate(previous):
+                for taken, takes, weight in entries:
+                    run = takes[start:]
+                    for a, b, mult in _CODES:
+                        key = taken + b, takes[:start] + tuple(sorted((*run, b)))
+                        merged[need + a][key] += weight * mult
+            folded.append(
+                tuple(tuple((*key, w) for key, w in sorted(m.items())) for m in merged)
+            )
+        tables.append(tuple(folded))
+    return tuple(tables)
 
 
 #: ``_TAILS[w][pattern][k]``: the tail table of width ``w`` for an owner
 #: needing ``k``, folded over the equal-deficit runs that ``pattern`` marks
-#: (see :func:`_fold`); pattern 0 is the unfolded table.
-_TAILS = tuple(_fold(table, w) for w, table in enumerate(_tail_tables()))
+#: (see :func:`_tail_tables`); pattern 0 is the unfolded table.
+_TAILS = _tail_tables()
 
 
 def count_completions(
@@ -215,7 +181,7 @@ def _row(
     behind on every call.
 
     The tail table is the one folded for the pattern of equal neighbouring
-    deficits among the tail opponents (see :func:`_fold`).  The pattern
+    deficits among the tail opponents (see :func:`_tail_tables`).  The pattern
     only compares values, so a tail whose equal deficits sit apart would
     merely fold less.  Neither caller passes one: :func:`_solve` passes
     sorted deficits, and :func:`count_completions` those of a profile's

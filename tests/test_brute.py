@@ -130,6 +130,8 @@ class TestSeasonSweep:
             count_tied_block(4, -1)
         with pytest.raises(ValueError):
             count_tied_block(4, 9)
+        with pytest.raises(ValueError):
+            count_tied_block(6, 0)  # above BRUTE_CEILING
 
     def test_one_range_runs_in_process(self, monkeypatch):
         def no_pool(*args):

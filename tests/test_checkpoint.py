@@ -139,7 +139,15 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="header"):
             count_tied(4, checkpoint=path)
 
-    @pytest.mark.parametrize("first", ["[1, 2]", '{"kind": "entry"}'])
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "[1, 2]",
+            '{"kind": "entry"}',
+            '{"kind": "header", "n": [5]}',
+            '{"kind": "header", "n": "5"}',
+        ],
+    )
     def test_json_other_than_a_header_refused(self, tmp_path, first):
         path = tmp_path / "other.ledger"
         path.write_text(first + "\n")
@@ -163,13 +171,15 @@ class TestRefusals:
 class TestRecovery:
     def test_corrupt_trailing_entry_is_dropped_with_warning(self, tmp_path):
         path, full = run_with_ledger(tmp_path, 5)
-        with open(path, "a") as fh:
-            fh.write('{"kind": "entry", "takes": [4, 3, ')  # torn write
-        with pytest.warns(UserWarning, match="corrupt trailing record"):
-            report = count_tied(5, checkpoint=path)
-        assert report.total == full.total
-        # The torn line is physically gone.
-        assert all(json.loads(line) for line in ledger_lines(path))
+        ledger = path.read_bytes()
+        # A torn write, and records that parse as JSON but not as an object.
+        for tail in ['{"kind": "entry", "takes": [4, 3, ', "null\n", "[1, 2]\n"]:
+            path.write_bytes(ledger + tail.encode())
+            with pytest.warns(UserWarning, match="corrupt trailing record"):
+                report = count_tied(5, checkpoint=path)
+            assert report.total == full.total
+            # The damaged line is physically gone.
+            assert path.read_bytes() == ledger
 
     def test_load_leaves_torn_ledger_unchanged(self, tmp_path):
         # load() only reads; the torn tail is cut when the run reopens the
@@ -219,10 +229,11 @@ class TestRecovery:
     def test_corrupt_middle_entry_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)
         lines = ledger_lines(path)
-        lines[2] = '{"kind": "entry", "takes": "broken"}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt record"):
-            count_tied(5, checkpoint=path)
+        for bad in ['{"kind": "entry", "takes": "broken"}', "null", "[1, 2]"]:
+            lines[2] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CheckpointError, match="corrupt record on line 3"):
+                count_tied(5, checkpoint=path)
 
     def test_conflicting_duplicate_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)

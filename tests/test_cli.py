@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import league_ties
-from league_ties import cli
+from league_ties import brute, cli
 from league_ties.cli import main
 from league_ties.engine import ENGINE_VERSION, KNOWN_TOTALS, count_tied
 
@@ -55,15 +55,14 @@ class TestCount:
         assert "n=9" in err
 
     def test_nine_teams_refused_before_any_sweep(self, capsys, monkeypatch):
-        # With both methods the optimised count runs first, so its size
-        # refusal fires before the (here unbounded) brute sweep starts.
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("brute sweep started")
+        # With both methods the sweep's size refusal fires before either
+        # count starts.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a count started")
 
-        monkeypatch.setattr(cli, "count_tied_bruteforce", no_sweep)
-        code, _, err = run_cli(
-            capsys, "count", "--method", "both", "--teams", "9", "--allow-large-brute"
-        )
+        monkeypatch.setattr(brute, "count_tied_block", no_run)
+        monkeypatch.setattr(cli, "count_tied", no_run)
+        code, _, err = run_cli(capsys, "count", "--method", "both", "--teams", "9")
         assert code == 3
         assert "n=9" in err
 
@@ -82,10 +81,16 @@ class TestCount:
         assert seen == [8]
         assert err == ""
 
-    def test_brute_ceiling_refused(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--teams", "6", "--method", "brute")
-        assert code == 3
-        assert "--allow-large-brute" in err
+    def test_brute_ceiling_refused(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a count started")
+
+        monkeypatch.setattr(brute, "count_tied_block", no_run)
+        monkeypatch.setattr(cli, "count_tied", no_run)
+        for method in ("brute", "both"):
+            code, _, err = run_cli(capsys, "count", "--teams", "6", "--method", method)
+            assert code == 3
+            assert "ceiling is n=5" in err
 
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("LEAGUE_TIES_WORKERS", "2")
@@ -99,8 +104,9 @@ class TestCount:
             ["count", "--teams", "4", "--strict-search"],
             ["count", "--teams", "4", "--long"],
             ["bench"],
+            ["count", "--teams", "4", "--allow-large-brute"],
         ],
-        ids=["count-strict-search", "count-long", "bench"],
+        ids=["count-strict-search", "count-long", "bench", "count-allow-large-brute"],
     )
     def test_removed_options_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as info:

@@ -3,7 +3,7 @@
 import gc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from league_ties.brute import count_completions_bruteforce
 from league_ties.engine import count_tied
 from league_ties.eulerian import eulerian_count
 from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
-from league_ties.scoring import complement
+from league_ties.scoring import TAKE_VALUES, complement
 from league_ties.search import (
     _CODES,
     _TAIL_WIDTH,
@@ -163,14 +163,21 @@ class TestDeficitDP:
 class TestTailTables:
     @pytest.mark.parametrize("width", range(_TAIL_WIDTH + 1))
     def test_every_assignment_once(self, width):
+        # Pattern 0 is the reference the folded tables are checked against:
+        # every ordered assignment once, weighted by its codes' multiplicities.
         entries = [e for by_need in _TAILS[width][0] for e in by_need]
         assert len(entries) == 6**width
         assert sum(mult for _, _, mult in entries) == 9**width
+        all_takes = [takes for _, takes, _ in entries]
+        assert len(set(all_takes)) == len(all_takes)
+        assert set(all_takes) == set(product(TAKE_VALUES, repeat=width))
         owner_points = {b: a for a, b, _ in _CODES}
+        multiplicity = {b: mult for _, b, mult in _CODES}
         for need, by_need in enumerate(_TAILS[width][0]):
-            for taken, takes, _ in by_need:
+            for taken, takes, mult in by_need:
                 assert sum(owner_points[b] for b in takes) == need
                 assert sum(takes) == taken
+                assert mult == prod(multiplicity[b] for b in takes)
             totals = [taken for taken, _, _ in by_need]
             assert totals == sorted(totals)
 
