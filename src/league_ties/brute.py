@@ -206,11 +206,7 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
                 break
 
 
-def completions_search(
-    base: tuple[int, ...],
-    target: int,
-    prefix: tuple[int, ...] = (),
-) -> int:
+def completions_search(base: tuple[int, ...], target: int) -> int:
     """Weighted completion count by row-wise recursive search.
 
     Teams are indexed 0..k-1 (k = ``len(base)``); team ``i``'s row assigns
@@ -220,30 +216,14 @@ def completions_search(
     along the way multiplies the branch weight by 2.  A branch is abandoned
     as soon as either side of a freshly assigned code exceeds ``target``
     (points never decrease, so this is sound).
-
-    ``prefix`` fixes the first codes of team 0's row (against teams 1, 2,
-    ...), so summing over all prefixes of one length partitions the count.
     """
     k = len(base)
     if k > 8:
         raise ValueError(f"completion search supports at most 8 teams, got {k}")
-    if len(prefix) > max(k - 1, 0):
-        raise ValueError(f"prefix of {len(prefix)} codes exceeds the first row")
-    if any(not 0 <= c <= 5 for c in prefix):
-        raise ValueError(f"prefix codes must be 0..5, got {prefix}")
     points = list(base)
     if k == 1:
         return 1 if points[0] == target else 0
-
-    weight = 1
-    for d, code in enumerate(prefix):
-        a, b = PAIR_POINTS[code]
-        points[0] += a
-        points[d + 1] += b
-        weight *= PAIR_MULTIPLICITY[code]
-        if points[0] > target or points[d + 1] > target:
-            return 0
-    return _search_row(points, target, 0, 1 + len(prefix), weight)
+    return _search_row(points, target, 0, 1, 1)
 
 
 def _search_row(points: list[int], target: int, i: int, j: int, w: int) -> int:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import engine, eulerian
 from .brute import BRUTE_CEILING, count_tied_bruteforce
@@ -244,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -259,7 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             args.usage_error(f"{source} must be >= 1")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # One line per warning, without the source location and line
+            # that the default format adds.
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except SizeRefusedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -6,7 +6,8 @@ digraphs, and one weighted search per SEARCH profile.  Per-profile results
 are exact integers and combine by addition, so worker count, scheduling
 order and interruption points cannot change the total.  The searches of one
 run share a memo of deficit multisets (see :mod:`league_ties.search`).
-With several workers the searches are grouped by target P (the first
+A task is one whole SEARCH profile, its result that profile's completion
+count.  With several workers the tasks are grouped by target P (the first
 team's total), whose memo entries mostly serve that P alone: this process
 and its forked children claim whole groups from a shared counter, each
 keeping one memo across the groups it claims.
@@ -39,6 +40,7 @@ from .profiles import (
     representation_factor,
 )
 from .scoring import LeagueSize, as_league_size
+# split_prefixes is unused here: perfbench/tracer.py wraps it; ROADMAP item 1 deletes both.
 from .search import count_completions, split_prefixes
 
 ENGINE_VERSION = "0.1.0"
@@ -177,9 +179,12 @@ class CheckpointLedger:
             raise ValueError(f"unexpected record kind {record.get('kind')!r}")
         takes = tuple(record["takes"])
         profile = Profile(takes)
-        completions = int(record["completions"])
-        if completions < 0:
-            raise ValueError("negative completion count")
+        digits = record["completions"]
+        # The writer emits a decimal string; a number, bool, sign, space or
+        # underscore that int() would accept is a foreign or edited record.
+        if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+            raise ValueError(f"completion count {digits!r} is not a string of digits")
+        completions = int(digits)
         if record["representation"] != representation_factor(profile):
             raise ValueError(f"representation factor mismatch for {takes}")
         if record["doubling"] != doubling_factor(profile):
@@ -229,17 +234,15 @@ class CheckpointLedger:
         return CheckpointLedger._parse_header(path, first)
 
 
-_Task = tuple[tuple[int, ...], tuple[int, ...]]  # (takes, prefix)
-_Result = tuple[tuple[int, ...], tuple[int, ...], int | None, str | None]
+_Task = tuple[int, ...]  # the takes of one SEARCH profile
+_Result = tuple[tuple[int, ...], int | None, str | None]  # (takes, count, error)
 
 
-def _search_task(task: _Task, memo: dict[tuple[int, ...], int]) -> _Result:
-    takes, prefix = task
+def _search_task(takes: _Task, memo: dict[tuple[int, ...], int]) -> _Result:
     try:
-        count = count_completions(Profile(takes), prefix=prefix, memo=memo)
-        return takes, prefix, count, None
+        return takes, count_completions(Profile(takes), memo=memo), None
     except Exception as exc:  # report back; the scheduler retries in-process
-        return takes, prefix, None, f"{type(exc).__name__}: {exc}"
+        return takes, None, f"{type(exc).__name__}: {exc}"
 
 
 def count_tied(
@@ -247,7 +250,6 @@ def count_tied(
     *,
     workers: int = 1,
     checkpoint: str | Path | None = None,
-    split_prefix: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> TiedCountReport:
     """Exact number of season outcomes with all teams level on points.
@@ -256,8 +258,6 @@ def count_tied(
         size: team count (or :class:`LeagueSize`), 2..8.
         workers: search worker processes; any value yields the same total.
         checkpoint: optional ledger path for interruptable runs.
-        split_prefix: codes of team 2's row pinned per subtask, splitting
-            each profile into ``6**split_prefix`` tasks (default: none).
         progress: callback ``(profiles_done, profiles_total)`` over the
             SEARCH class, including profiles restored from the ledger.
     """
@@ -297,9 +297,7 @@ def count_tied(
         ledger.open_for_append()
 
     try:
-        search_total = _run_searches(
-            weights, recorded, workers, split_prefix, ledger, progress
-        )
+        search_total = _run_searches(weights, recorded, workers, ledger, progress)
     finally:
         if ledger is not None:
             ledger.close()
@@ -332,7 +330,6 @@ def _run_searches(
     weights: dict[tuple[int, ...], int],
     recorded: dict[tuple[int, ...], int],
     workers: int,
-    split_prefix: int,
     ledger: CheckpointLedger | None,
     progress: Callable[[int, int], None] | None,
 ) -> int:
@@ -342,14 +339,7 @@ def _run_searches(
     if progress is not None and done:
         progress(done, len(weights))
 
-    tasks: list[_Task] = []
-    parts_needed: dict[tuple[int, ...], int] = {}
-    pending = [takes for takes in weights if takes not in recorded]
-    for takes in pending:
-        prefixes = split_prefixes(Profile(takes), split_prefix)
-        parts_needed[takes] = len(prefixes)
-        tasks.extend((takes, prefix) for prefix in prefixes)
-    partial = dict.fromkeys(pending, 0)
+    tasks: list[_Task] = [takes for takes in weights if takes not in recorded]
 
     # One deficit memo serves every profile and target this process runs.
     memo: dict[tuple[int, ...], int] = {}
@@ -358,25 +348,23 @@ def _run_searches(
     else:
         results = (_search_task(task, memo) for task in tasks)
     with closing(results):
-        for takes, prefix, count, error in results:
+        for takes, count, error in results:
             if error is not None:  # one in-process retry; a second failure aborts
-                _, _, count, error = _search_task((takes, prefix), memo)
+                _, count, error = _search_task(takes, memo)
                 if error is not None:
                     raise LeagueTiesError(
-                        f"search failed twice for profile {takes} (prefix {prefix}): {error}"
+                        f"search failed twice for profile {takes}: {error}"
                     )
-            partial[takes] += count
-            parts_needed[takes] -= 1
-            if parts_needed[takes] == 0:
-                completions = partial.pop(takes)
-                total += weights[takes] * completions
-                done += 1
-                if ledger is not None:
-                    ledger.append(takes, completions)
-                if progress is not None:
-                    progress(done, len(weights))
-    if partial:
-        raise LeagueTiesError(f"no search result for profiles {sorted(partial)[:3]}...")
+            total += weights[takes] * count
+            done += 1
+            if ledger is not None:
+                ledger.append(takes, count)
+            if progress is not None:
+                progress(done, len(weights))
+    if done < len(weights):
+        raise LeagueTiesError(
+            f"no search result for {len(weights) - done} of {len(weights)} SEARCH profiles"
+        )
     return total
 
 
@@ -398,11 +386,11 @@ def _shared_results(
     from multiprocessing.connection import wait
 
     by_target: dict[int, list[_Task]] = {}
-    for task in tasks:
-        by_target.setdefault(sum(task[0]), []).append(task)
+    for takes in tasks:
+        by_target.setdefault(sum(takes), []).append(takes)
     # The cost of a target peaks a little above the middle of the SEARCH
     # range 2n - 1..3n - 4 (P = 18 and 19 at n = 8, 16 at n = 7).
-    n = len(tasks[0][0]) + 1
+    n = len(tasks[0]) + 1
     order = sorted(by_target, key=lambda p: (abs(2 * p - (5 * n - 3)), p))
     groups = [by_target[p] for p in order]
 
@@ -428,7 +416,7 @@ def _shared_results(
                     live.remove(reader)
                     reader.close()
                     continue
-                missing.discard(result[:2])
+                missing.discard(result[0])
                 yield result
 
         for group in _claims(groups, claimed):

@@ -112,41 +112,25 @@ _TAILS = _tail_tables()
 def count_completions(
     profile: Profile,
     *,
-    prefix: tuple[int, ...] = (),
     memo: dict[tuple[int, ...], int] | None = None,
 ) -> int:
-    """Weighted number of tied completions of one profile.
+    """Weighted number of tied completions of one whole profile.
 
-    Matches the full-sweep oracle on every input.  ``prefix`` pins the first
-    codes of team 2's row so one profile can be split into disjoint
-    sub-searches whose results add up to the whole.  ``memo`` maps sorted
-    deficit tuples to their completion counts; pass one dict to every call
-    of a league to share it across profiles and targets (by default each
-    call starts empty).
+    Matches the full-sweep oracle on every input.  Team 2's row is
+    enumerated against the profile's own deficits; every later row comes
+    from the memoised DP.  ``memo`` maps sorted deficit tuples to their
+    completion counts; pass one dict to every call of a league to share it
+    across profiles and targets (by default each call starts empty).
     """
-    prefix = tuple(prefix)
-    if len(prefix) > max(len(profile.takes) - 1, 0):
-        raise ValueError(f"prefix of {len(prefix)} codes exceeds the first row")
-    if any(not 0 <= c <= 5 for c in prefix):
-        raise ValueError(f"prefix codes must be 0..5, got {prefix}")
-
     # Each opponent starts on the complement of what the first team took
     # from it, and must end on the first team's total.
     deficits = [profile.taken - complement(t) for t in profile.takes]
-    need = deficits[0]
-    weight = 1
-    for j, code in enumerate(prefix, start=1):
-        a, b, mult = _CODES[code]
-        need -= a
-        deficits[j] -= b
-        weight *= mult
-    first = 1 + len(prefix)
-    if need < 0 or any(d < 0 for d in deficits[1:first]):
+    if deficits[0] < 0:
         return 0
     if memo is None:
         memo = {}
     lo, hi = _window(deficits)
-    return weight * _row(deficits, first, need, deficits[1:first], lo, hi, memo)
+    return _row(deficits, 1, deficits[0], [], lo, hi, memo)
 
 
 def _window(deficits: Sequence[int]) -> tuple[int, int]:
@@ -190,16 +174,15 @@ def _row(
     sorts the deficits left and is dropped when the smallest is negative:
     ``rest`` never holds a negative deficit, so only a take above its tail
     deficit can leave one.  A key is read from ``memo`` once, and a miss
-    goes straight to :func:`_fill`.  A row with no encounters left (at two
-    teams, or when a prefix fills it) has no tail table to read and
-    leaves the sorted ``rest`` to :func:`_solve`.
+    goes straight to :func:`_fill`.  Only at two teams does a row have no
+    encounters: team 2's, met one way once the check on ``need`` has
+    passed.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
     if not width:
-        # A filled row leaves the sorted deficits of ``rest``, or no key at all.
-        return _solve(tuple(sorted(rest)), memo)
+        return 1  # two teams, and team 2 needs nothing more
     if width <= _TAIL_WIDTH:
         tail = deficits[j:]
         # Widths above 3 would leave the higher bits clear and only fold less.

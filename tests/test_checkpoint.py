@@ -235,6 +235,36 @@ class TestRecovery:
             with pytest.raises(CheckpointError, match="corrupt record on line 3"):
                 count_tied(5, checkpoint=path)
 
+    # The writer stores each count as a string of ASCII digits; int() would
+    # also take these, and a bool as 1.
+    NOT_DIGITS = [True, 248.9, 248, "2_48", " 248", "-248", "", "\u0662\u0664\u0668"]
+
+    @pytest.mark.parametrize("value", NOT_DIGITS, ids=repr)
+    def test_count_not_in_digits_refused_mid_file(self, tmp_path, value):
+        path, _ = run_with_ledger(tmp_path, 5)
+        lines = ledger_lines(path)
+        record = json.loads(lines[2])
+        record["completions"] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt record on line 3.*string of digits"):
+            count_tied(5, checkpoint=path)
+
+    @pytest.mark.parametrize("value", NOT_DIGITS, ids=repr)
+    def test_count_not_in_digits_dropped_as_last_line(self, tmp_path, value):
+        path, full = run_with_ledger(tmp_path, 5)
+        lines = ledger_lines(path)
+        record = json.loads(lines[-1])
+        record["completions"] = value
+        lines[-1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match="corrupt trailing record.*string of digits"):
+            report = count_tied(5, checkpoint=path)
+        assert report.total == full.total == KNOWN_TOTALS[5]
+        last = json.loads(ledger_lines(path)[-1])
+        assert last["takes"] == record["takes"]
+        assert last["completions"].isdigit()
+
     def test_conflicting_duplicate_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)
         lines = ledger_lines(path)

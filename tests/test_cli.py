@@ -12,6 +12,7 @@ from league_ties.cli import main
 from league_ties.engine import ENGINE_VERSION, KNOWN_TOTALS, count_tied
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +224,20 @@ class TestResume:
         assert code == 0
         assert json.loads(out)["total"] == str(KNOWN_TOTALS[5])
 
+    def test_dropped_trailing_record_warns_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "n5.ledger"
+        code, _, _ = run_cli(capsys, "count", "--teams", "5", "--checkpoint", str(path))
+        assert code == 0
+        with open(path, "a") as fh:
+            fh.write("null\n")
+        code, out, err = run_cli(capsys, "resume", "--checkpoint", str(path))
+        assert code == 0
+        assert f"n=5 total={KNOWN_TOTALS[5]}" in out
+        assert err == (
+            f"warning: {path}: dropping corrupt trailing record "
+            f"(record is not a JSON object)\n"
+        )
+
     def test_resume_missing_ledger(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "resume", "--checkpoint", str(tmp_path / "none.ledger")
@@ -230,6 +245,29 @@ class TestResume:
         assert code == 2
         assert "header" in err
 
+
+class TestJsonGolden:
+    """The byte-exact ``--format json`` contract, with ``elapsed_ms`` set to 0."""
+
+    @staticmethod
+    def normalised(out):
+        return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_count(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("LEAGUE_TIES_WORKERS", raising=False)
+        code, out, _ = run_cli(capsys, "count", "--teams", str(n), "--format", "json")
+        assert code == 0
+        assert self.normalised(out) == (GOLDEN / f"count_n{n}.json").read_text()
+
+    def test_resume_of_a_complete_ledger(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("LEAGUE_TIES_WORKERS", raising=False)
+        path = str(tmp_path / "n5.ledger")
+        code, _, _ = run_cli(capsys, "count", "--teams", "5", "--checkpoint", path)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "resume", "--checkpoint", path, "--format", "json")
+        assert code == 0
+        assert self.normalised(out) == (GOLDEN / "resume_n5.json").read_text()
 
 
 class TestVersion:

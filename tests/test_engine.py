@@ -92,10 +92,6 @@ class TestScheduling:
     def test_eight_teams_with_two_workers(self):
         assert count_tied(8, workers=2).total == KNOWN_TOTALS[8]
 
-    @pytest.mark.parametrize("split", [0, 1, 2])
-    def test_forced_profile_splitting(self, split):
-        assert count_tied(5, workers=2, split_prefix=split).total == KNOWN_TOTALS[5]
-
     def test_pool_run_is_silent_and_leaves_no_process(self, capfd, tmp_path):
         # Benchmarks read results from stdout, so a pooled, ledgered count
         # writes nothing there, and its workers are gone when it returns.
@@ -206,6 +202,15 @@ class TestScheduling:
             count_tied(5, workers=workers)
         assert str(target) in str(info.value)
         assert multiprocessing.active_children() == []
+
+    def test_missing_results_abort(self, monkeypatch):
+        # A scheduler that loses results must not return a short total.
+        def nothing(tasks, workers, memo):
+            yield from ()
+
+        monkeypatch.setattr(engine, "_shared_results", nothing)
+        with pytest.raises(LeagueTiesError, match="no search result for 19 of 19"):
+            count_tied(5, workers=2)
 
 
 class TestGuards:

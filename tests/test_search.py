@@ -75,20 +75,23 @@ def search_profiles(n):
     return [p for p in iter_profiles(n) if classify_profile(p) is ProfileClass.SEARCH]
 
 
-def reference_search(p, prefix=()):
+def reference_search(p):
     """Completions of ``p`` by the recursive reference search in ``brute``."""
     base = tuple(complement(t) for t in p.takes)
-    return brute.completions_search(base, p.taken, prefix)
+    return brute.completions_search(base, p.taken)
 
 
 def assert_dp_matches_recursive_search(n):
-    """The deficit DP against the pruned recursive search, whole and per prefix."""
+    """The deficit DP against the pruned recursive search, profile by profile.
+
+    Each profile is counted with a fresh memo and with one memo shared by
+    all of them.
+    """
     memo = {}
     for p in search_profiles(n):
-        for prefix in [()] + split_prefixes(p, 1):
-            want = reference_search(p, prefix)
-            assert count_completions(p, prefix=prefix) == want, (p, prefix)
-            assert count_completions(p, prefix=prefix, memo=memo) == want, (p, prefix)
+        want = reference_search(p)
+        assert count_completions(p) == want, p
+        assert count_completions(p, memo=memo) == want, p
 
 
 class TestDeficitDP:
@@ -290,23 +293,6 @@ class TestClosedFormSlices:
 
 
 class TestPrefixSplitting:
-    @pytest.mark.parametrize("length", [0, 1, 2, 3])
-    def test_prefixes_partition_the_count(self, length):
-        # Length 3 fills team 2's row at n = 5, leaving no tail to close.
-        for p in iter_profiles(5):
-            if classify_profile(p) is not ProfileClass.SEARCH:
-                continue
-            full = count_completions(p)
-            parts = [
-                count_completions(p, prefix=prefix)
-                for prefix in split_prefixes(p, length)
-            ]
-            assert sum(parts) == full, (p, length)
-
-    def test_prefix_too_long(self):
-        with pytest.raises(ValueError):
-            count_completions(Profile((4, 1)), prefix=(0, 0))
-
     def test_split_prefixes_shape(self):
         p = Profile((4, 3, 3, 0))
         assert split_prefixes(p, 0) == [()]
