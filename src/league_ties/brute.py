@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import partial
-from multiprocessing import Pool
 
 from .errors import SizeRefusedError
 from .scoring import (
@@ -54,6 +53,18 @@ from .scoring import (
 
 #: Largest n swept; 3**20 encodings is the desk-scale ceiling.
 BRUTE_CEILING = 5
+
+
+def Pool(processes: int):
+    """A ``multiprocessing`` pool of ``processes`` workers.
+
+    Imported on first use, so that the package import and every one-block
+    sweep skip ``multiprocessing``.
+    """
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
+
 
 # Matches swept inside one block of the season sweep: 3**10 encodings.
 _BLOCK_MATCHES = 10

@@ -178,6 +178,10 @@ class CheckpointLedger:
         if record.get("kind") != "entry":
             raise ValueError(f"unexpected record kind {record.get('kind')!r}")
         takes = tuple(record["takes"])
+        # The writer emits JSON integers; a float or bool equal to a take
+        # (6.0, false) would pass Profile's checks.
+        if any(type(t) is not int for t in takes):
+            raise ValueError(f"takes {record['takes']!r} are not all integers")
         profile = Profile(takes)
         digits = record["completions"]
         # The writer emits a decimal string; a number, bool, sign, space or
@@ -185,10 +189,11 @@ class CheckpointLedger:
         if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
             raise ValueError(f"completion count {digits!r} is not a string of digits")
         completions = int(digits)
-        if record["representation"] != representation_factor(profile):
-            raise ValueError(f"representation factor mismatch for {takes}")
-        if record["doubling"] != doubling_factor(profile):
-            raise ValueError(f"doubling factor mismatch for {takes}")
+        rep, dbl = record["representation"], record["doubling"]
+        if type(rep) is not int or rep != representation_factor(profile):
+            raise ValueError(f"representation factor {rep!r} is wrong for {takes}")
+        if type(dbl) is not int or dbl != doubling_factor(profile):
+            raise ValueError(f"doubling factor {dbl!r} is wrong for {takes}")
         return takes, completions
 
     def open_for_append(self) -> None:
@@ -380,8 +385,9 @@ def _shared_results(
     arrived (a child died) is run here once every pipe is closed.  Closing
     the generator early stops the children.
     """
-    # Imported here: ``Value`` imports ctypes, which a one-worker run and
-    # the package import should not pay for.
+    # Imported here, as ``brute.Pool`` imports its pool: a one-worker run and
+    # the package import load neither multiprocessing nor the ctypes that
+    # ``Value`` needs (a test checks the import).
     from multiprocessing import Pipe, Process, Value
     from multiprocessing.connection import wait
 

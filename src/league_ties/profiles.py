@@ -10,6 +10,12 @@ Classification sorts each profile into one bucket: provably zero
 contribution (four pruning reasons), a closed-form special (the all-draw
 outcome, or the draw-free class counted by Eulerian digraphs), or a genuine
 search case.
+
+Every count builds and classifies each profile of its league (252 at n = 6,
+1 287 at n = 9), and every resume validates each ledger record through a
+:class:`Profile`, so this layer is a fixed cost of each call.  Its functions
+read the takes once and test them with set, ``count`` and dict operations
+rather than per-take generators; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -20,9 +26,13 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .scoring import DOUBLED_TAKES, TAKE_VALUES, complement
+from .scoring import COMPLEMENT, DOUBLED_TAKES, PAIR_POINTS, TAKE_VALUES
 
 _DESCENDING_TAKES = tuple(sorted(TAKE_VALUES, reverse=True))
+_TAKE_SET = frozenset(TAKE_VALUES)
+
+#: Takes whose encounter holds a draw: the pair shares fewer than 6 points.
+_DRAWISH_TAKES = frozenset(a for a, b in PAIR_POINTS if a + b < 6)
 
 
 @dataclass(frozen=True)
@@ -32,13 +42,18 @@ class Profile:
     takes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.takes) < 1:
+        takes = self.takes
+        if len(takes) < 1:
             raise ValueError("profile must cover at least one opponent")
-        for t in self.takes:
-            if t not in TAKE_VALUES:
-                raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
-        if any(a < b for a, b in zip(self.takes, self.takes[1:])):
-            raise ValueError(f"takes must be weakly descending, got {self.takes}")
+        try:
+            valid = _TAKE_SET.issuperset(takes)
+        except TypeError:  # an unhashable take is a bad take too
+            valid = False
+        if not valid:
+            bad = next(t for t in takes if t not in TAKE_VALUES)
+            raise ValueError(f"bad take {bad!r}; must be one of {TAKE_VALUES}")
+        if list(takes) != sorted(takes, reverse=True):
+            raise ValueError(f"takes must be weakly descending, got {takes}")
 
     @property
     def n(self) -> int:
@@ -53,7 +68,7 @@ class Profile:
     @property
     def conceded(self) -> int:
         """Points the opponents take against the first team in total."""
-        return sum(complement(t) for t in self.takes)
+        return sum([COMPLEMENT[t] for t in self.takes])
 
 
 class ProfileClass(enum.Enum):
@@ -94,15 +109,16 @@ def iter_profiles(n: int) -> Iterator[Profile]:
 
 def representation_factor(profile: Profile) -> int:
     """Number of distinct orderings of the profile's takes."""
-    result = factorial(len(profile.takes))
-    for v in set(profile.takes):
-        result //= factorial(profile.takes.count(v))
+    takes = profile.takes
+    result = factorial(len(takes))
+    for v in set(takes):
+        result //= factorial(takes.count(v))
     return result
 
 
 def doubling_factor(profile: Profile) -> int:
     """2 to the number of takes with two home/away realisations (1, 3, 4)."""
-    return 2 ** sum(1 for t in profile.takes if t in DOUBLED_TAKES)
+    return 1 << sum(map(profile.takes.count, DOUBLED_TAKES))
 
 
 def classify_profile(profile: Profile) -> ProfileClass:
@@ -121,20 +137,21 @@ def classify_profile(profile: Profile) -> ProfileClass:
     (6, 2, 0), (6, 1, 1), (4, 4, 0) and (4, 3, 1) at n = 4, so the plain
     [2L, 3L] is used there.
     """
-    n = profile.n
-    p = profile.taken
+    takes = profile.takes
+    n = len(takes) + 1
+    p = sum(takes)
     if p < 2 * n - 2:
         return ProfileClass.PRUNED_LOW
     if p == 2 * n - 2:
         # Only the all-draw season reaches a tie this low, so the one
         # all-2s profile carries that outcome and its siblings are dead.
-        if all(t == 2 for t in profile.takes):
+        if takes.count(2) == n - 1:
             return ProfileClass.ALL_DRAW_SPECIAL
         return ProfileClass.PRUNED_LOW
     if p == 3 * n - 3:
         # A tie this high forces a draw-free season, so any profile with a
         # drawish take (1, 2 or 4) is dead.
-        if all(t in (0, 3, 6) for t in profile.takes):
+        if _DRAWISH_TAKES.isdisjoint(takes):
             return ProfileClass.EULERIAN_SPECIAL
         return ProfileClass.PRUNED_HIGH
     if p > 3 * n - 3:

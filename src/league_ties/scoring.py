@@ -11,7 +11,8 @@ which arise from two distinct orderings and therefore carry multiplicity 2.
 the nine (first leg, second leg) results of one pairing gives
 ``PAIR_POINTS``, sorted by the first side's points (the search and the
 brute-force odometers rely on this code order), and ``PAIR_MULTIPLICITY``;
-``TAKE_VALUES``, ``DOUBLED_TAKES`` and :func:`complement` are read off them.
+``TAKE_VALUES``, ``DOUBLED_TAKES``, ``COMPLEMENT`` and :func:`complement` are
+read off them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ DOUBLED_TAKES = frozenset(
     a for (a, _), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY) if mult == 2
 )
 
-_COMPLEMENT = dict(PAIR_POINTS)
+#: Points the opponent takes, keyed by the points one side takes from an
+#: encounter; :func:`complement` is the checked lookup.
+COMPLEMENT = dict(PAIR_POINTS)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def complement(p: int) -> int:
     take and is rejected rather than reinterpreted.
     """
     try:
-        return _COMPLEMENT[p]
+        return COMPLEMENT[p]
     except (KeyError, TypeError):
         raise ValueError(f"not a valid encounter take: {p!r}") from None
 

@@ -265,6 +265,44 @@ class TestRecovery:
         assert last["takes"] == record["takes"]
         assert last["completions"].isdigit()
 
+    # Values equal to what the writer stores, but not JSON integers.
+    NOT_INTS = {
+        "float takes": lambda r: r.update(takes=[float(t) for t in r["takes"]]),
+        "false take": lambda r: r.update(takes=[t or False for t in r["takes"]]),
+        "float representation": lambda r: r.update(representation=float(r["representation"])),
+        "float doubling": lambda r: r.update(doubling=float(r["doubling"])),
+    }
+
+    @staticmethod
+    def move_and_edit(path, edit, line):
+        """Edit a record with a 0 take and move it to ``line`` (1-based)."""
+        lines = ledger_lines(path)
+        i = next(i for i, s in enumerate(lines[1:], 1) if 0 in json.loads(s)["takes"])
+        record = json.loads(lines.pop(i))
+        edit(record)
+        lines.insert(line - 1, json.dumps(record))
+        path.write_text("\n".join(lines) + "\n")
+        return record
+
+    @pytest.mark.parametrize("edit", NOT_INTS.values(), ids=NOT_INTS.keys())
+    def test_values_not_ints_refused_mid_file(self, tmp_path, edit):
+        path, _ = run_with_ledger(tmp_path, 5)
+        self.move_and_edit(path, edit, 3)
+        with pytest.raises(CheckpointError, match="corrupt record on line 3"):
+            count_tied(5, checkpoint=path)
+
+    @pytest.mark.parametrize("edit", NOT_INTS.values(), ids=NOT_INTS.keys())
+    def test_values_not_ints_dropped_as_last_line(self, tmp_path, edit):
+        path, full = run_with_ledger(tmp_path, 5)
+        record = self.move_and_edit(path, edit, len(ledger_lines(path)) + 1)
+        with pytest.warns(UserWarning, match="corrupt trailing record"):
+            report = count_tied(5, checkpoint=path)
+        assert report.total == full.total == KNOWN_TOTALS[5]
+        last = json.loads(ledger_lines(path)[-1])
+        assert last["takes"] == record["takes"]
+        written = [*last["takes"], last["representation"], last["doubling"]]
+        assert all(type(v) is int for v in written)
+
     def test_conflicting_duplicate_is_refused(self, tmp_path):
         path, _ = run_with_ledger(tmp_path, 5)
         lines = ledger_lines(path)

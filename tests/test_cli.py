@@ -1,7 +1,10 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from league_ties.cli import main
 from league_ties.engine import ENGINE_VERSION, KNOWN_TOTALS, count_tied
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
@@ -283,3 +287,21 @@ class TestVersion:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out == f"league-ties {ENGINE_VERSION}\n"
+
+
+class TestImport:
+    @pytest.mark.parametrize("module", ["league_ties", "league_ties.cli"])
+    def test_import_skips_multiprocessing(self, module):
+        # Pools import multiprocessing, and shared counters ctypes, on start.
+        code = (
+            f"import sys, {module}; "
+            "print(sorted({'multiprocessing', 'ctypes'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[]\n"

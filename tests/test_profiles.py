@@ -1,7 +1,7 @@
 """Profile generation, weights and classification."""
 
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -17,7 +17,7 @@ from league_ties.profiles import (
     iter_profiles,
     representation_factor,
 )
-from league_ties.scoring import TAKE_VALUES, complement
+from league_ties.scoring import DOUBLED_TAKES, TAKE_VALUES, complement
 from league_ties.search import count_completions
 
 profiles_st = st.integers(min_value=2, max_value=7).flatmap(
@@ -29,15 +29,19 @@ profiles_st = st.integers(min_value=2, max_value=7).flatmap(
 
 class TestProfileType:
     def test_rejects_ascending(self):
-        with pytest.raises(ValueError):
-            Profile((1, 3))
+        message = r"^takes must be weakly descending, got \(4, 1, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            Profile((4, 1, 3))
 
     def test_rejects_bad_take(self):
-        with pytest.raises(ValueError):
-            Profile((5,))
+        # The first bad take is named; an unhashable one is a bad take too.
+        for takes, bad in [((5,), "5"), ((6, 5, 7), "5"), ((6, [1]), r"\[1\]")]:
+            message = rf"^bad take {bad}; must be one of \(0, 1, 2, 3, 4, 6\)$"
+            with pytest.raises(ValueError, match=message):
+                Profile(takes)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^profile must cover at least one opponent$"):
             Profile(())
 
     @given(profiles_st)
@@ -195,3 +199,59 @@ class TestClassification:
     @given(profiles_st)
     def test_conceded_matches_complements(self, profile):
         assert profile.conceded == sum(complement(t) for t in profile.takes)
+
+
+def reference_layer(takes):
+    """The profile layer's formulas as first written, one take at a time.
+
+    Returns (class, representation, doubling, taken, conceded).
+    """
+    n = len(takes) + 1
+    taken = 0
+    for t in takes:
+        taken += t
+    conceded = sum(complement(t) for t in takes)
+    representation = factorial(len(takes))
+    for v in set(takes):
+        representation //= factorial(takes.count(v))
+    doubling = 2 ** sum(1 for t in takes if t in DOUBLED_TAKES)
+    if taken < 2 * n - 2:
+        cls = ProfileClass.PRUNED_LOW
+    elif taken == 2 * n - 2:
+        all_draw = all(t == 2 for t in takes)
+        cls = ProfileClass.ALL_DRAW_SPECIAL if all_draw else ProfileClass.PRUNED_LOW
+    elif taken == 3 * n - 3:
+        draw_free = all(t in (0, 3, 6) for t in takes)
+        cls = ProfileClass.EULERIAN_SPECIAL if draw_free else ProfileClass.PRUNED_HIGH
+    elif taken > 3 * n - 3:
+        cls = ProfileClass.PRUNED_HIGH
+    else:
+        rest_matches = (n - 1) * (n - 2)
+        spread = (n - 1) * taken - conceded
+        if n >= 5:
+            low, high = 2 * rest_matches + 3, 3 * rest_matches - 3
+        else:
+            low, high = 2 * rest_matches, 3 * rest_matches
+        if spread < low:
+            cls = ProfileClass.PRUNED_SPREAD_LOW
+        elif spread > high:
+            cls = ProfileClass.PRUNED_SPREAD_HIGH
+        else:
+            cls = ProfileClass.SEARCH
+    return cls, representation, doubling, taken, conceded
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_layer_matches_reference_formulas(n):
+    seen = 0
+    for p in iter_profiles(n):
+        got = (
+            classify_profile(p),
+            representation_factor(p),
+            doubling_factor(p),
+            p.taken,
+            p.conceded,
+        )
+        assert got == reference_layer(p.takes), p.takes
+        seen += 1
+    assert seen == comb(n + 4, 5)  # 1 287 at n = 9

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from league_ties import brute
 from league_ties.brute import count_completions_bruteforce
-from league_ties.engine import count_tied
+from league_ties.engine import KNOWN_TOTALS, count_tied
 from league_ties.eulerian import eulerian_count
 from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
 from league_ties.scoring import TAKE_VALUES, complement
@@ -290,6 +290,46 @@ class TestClosedFormSlices:
         assert [fixed_point_free_slice(n) for n in range(2, 10)] == [
             2, 16, 108, 1088, 13240, 184896, 2956688, 53231104,
         ]
+
+
+def tied_seasons_by_level(n):
+    """Tied seasons of ``n`` teams by team 0's points, from every season outcome."""
+    matches = [(h, a) for h in range(n) for a in range(n) if h != a]
+    tally = {}
+    for results in product(((3, 0), (1, 1), (0, 3)), repeat=len(matches)):
+        points = [0] * n
+        for (h, a), (home, away) in zip(matches, results):
+            points[h] += home
+            points[a] += away
+        if len(set(points)) == 1:
+            tally[points[0]] = tally.get(points[0], 0) + 1
+    return tally
+
+
+#: Tied seasons by level P, for P = 2n - 2..3n - 3 (from the season tally).
+TIED_BY_LEVEL = {
+    2: {2: 1, 3: 2},
+    3: {4: 1, 5: 16, 6: 10},
+    4: {6: 1, 7: 108, 8: 822, 9: 152},
+}
+
+
+class TestPerLevel:
+    """``_solve`` on n equal deficits P counts the tied seasons at level P."""
+
+    @pytest.mark.parametrize("n", sorted(TIED_BY_LEVEL))
+    def test_solve_per_level(self, n):
+        levels = range(2 * n - 2, 3 * n - 2)
+        assert {p: _solve((p,) * n, {}) for p in levels} == TIED_BY_LEVEL[n]
+        assert sum(TIED_BY_LEVEL[n].values()) == KNOWN_TOTALS[n]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_season_tally(self, n):
+        assert tied_seasons_by_level(n) == TIED_BY_LEVEL[n]
+
+    @pytest.mark.long
+    def test_season_tally_four_teams(self):
+        assert tied_seasons_by_level(4) == TIED_BY_LEVEL[4]
 
 
 class TestPrefixSplitting:
