@@ -102,6 +102,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_teams < 2:
+        print(f"verify needs --max-teams >= 2, got {args.max_teams}", file=sys.stderr)
+        return EXIT_USAGE
     if args.max_teams > BRUTE_CEILING:
         print(
             f"verify compares against the brute-force sweep, which is capped at "
@@ -160,6 +163,9 @@ def cmd_profiles(args: argparse.Namespace) -> int:
 
 
 def cmd_eulerian(args: argparse.Namespace) -> int:
+    if args.max < 2:
+        print(f"the table starts at n=2; got --max {args.max}", file=sys.stderr)
+        return EXIT_USAGE
     verified_max = min(args.max, eulerian.BRUTE_CEILING)
     for n in range(2, args.max + 1):
         line = f"n={n}: {eulerian_count(n)}"

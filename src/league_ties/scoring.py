@@ -58,6 +58,9 @@ class LeagueSize:
     n: int
 
     def __post_init__(self) -> None:
+        # No truncating 4.9 or reading "5"; bool is an int subclass.
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"a team count must be an int, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"a league needs at least 2 teams, got {self.n}")
 
@@ -73,10 +76,10 @@ class LeagueSize:
 
 
 def as_league_size(size: LeagueSize | int) -> LeagueSize:
-    """Coerce an int team count to :class:`LeagueSize`."""
+    """Wrap an int team count in :class:`LeagueSize`, which refuses any other type."""
     if isinstance(size, LeagueSize):
         return size
-    return LeagueSize(int(size))
+    return LeagueSize(size)
 
 
 def match_order(n: int) -> list[tuple[int, int]]:

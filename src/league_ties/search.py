@@ -1,21 +1,18 @@
 """Weighted counting of tied completions for one profile.
 
 Once the first team's takes are fixed, every opponent starts on the
-complementary points and all matches among teams 2..n remain open.  Team
-2's row (one pair code per encounter with a higher-indexed team) is
-enumerated code by code; a code that pushes either side past the target is
-skipped, and the row survives only if team 2 lands exactly on the target.
-
-From then on the count depends only on how many points each open team still
-needs, its *deficit*, and not on which team is which or on the target
-itself.  So the remaining teams are counted by a row DP keyed on the sorted
-tuple of their deficits: it enumerates the row of the team with the
-smallest deficit, closes it, and recurses on the re-sorted deficits of the
-rest.  A deficit multiset whose sum cannot be handed out by the open
-encounters (4 to 6 points each) counts zero without search.  One memo can
-serve every profile and every target of a league, because the key names
-no target.  Branch weights double for every code with two home/away
-realisations.
+complementary points and all matches among teams 2..n remain open.  The
+count depends only on how many points each open team still needs, its
+*deficit*, and not on which team is which or on the target itself.  So a
+profile is counted as the sorted tuple of its opponents' deficits, by a row
+DP keyed on that tuple: it enumerates the row of the team with the smallest
+deficit, closes it, and recurses on the re-sorted deficits of the rest.
+That key is the one the first row of the level target ``(P,) * n`` reaches
+through the profile's takes, so the profile layer is that first row.  A
+deficit multiset whose sum cannot be handed out by the open encounters (4
+to 6 points each) counts zero without search.  One memo can serve every
+profile and every target of a league, because the key names no target.
+Branch weights double for every code with two home/away realisations.
 
 The last three encounters of a row are not enumerated code by code: they
 are read from tail tables built once at import, which list every
@@ -47,7 +44,6 @@ a plain recursive row search that shares no code with it.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from operator import sub
 
 from .profiles import Profile
@@ -116,37 +112,25 @@ def count_completions(
 ) -> int:
     """Weighted number of tied completions of one whole profile.
 
-    Matches the full-sweep oracle on every input.  Team 2's row is
-    enumerated against the profile's own deficits; every later row comes
-    from the memoised DP.  ``memo`` maps sorted deficit tuples to their
-    completion counts; pass one dict to every call of a league to share it
-    across profiles and targets (by default each call starts empty).
+    Matches the full-sweep oracle on every input.  The profile is counted
+    as the sorted tuple of its opponents' deficits, the key that the first
+    row of ``(P,) * n`` reaches through these takes.  ``memo`` maps sorted
+    deficit tuples to their completion counts; pass one dict to every call
+    of a league to share it across profiles and targets (by default each
+    call starts empty).
     """
     # Each opponent starts on the complement of what the first team took
     # from it, and must end on the first team's total.
-    deficits = [profile.taken - complement(t) for t in profile.takes]
+    taken = profile.taken
+    deficits = tuple(sorted([taken - complement(t) for t in profile.takes]))
+    # A negative need would index the tail tables from the end.
     if deficits[0] < 0:
         return 0
-    if memo is None:
-        memo = {}
-    lo, hi = _window(deficits)
-    return _row(deficits, 1, deficits[0], [], lo, hi, memo)
-
-
-def _window(deficits: Sequence[int]) -> tuple[int, int]:
-    """Bounds on what the opponents may take in total from the row of ``deficits[0]``.
-
-    Once the row closes, the opponents must meet what is left of their
-    deficits among themselves, 4 to 6 points per encounter.
-    """
-    m = len(deficits) - 1
-    pairs = m * (m - 1) // 2
-    owed = sum(deficits) - deficits[0]
-    return owed - 6 * pairs, owed - 4 * pairs
+    return _solve(deficits, {} if memo is None else memo)
 
 
 def _row(
-    deficits: Sequence[int],
+    deficits: tuple[int, ...],
     j: int,
     need: int,
     rest: list[int],
@@ -164,25 +148,17 @@ def _row(
     function: a nested recursive closure would leave a reference cycle
     behind on every call.
 
-    The tail table is the one folded for the pattern of equal neighbouring
-    deficits among the tail opponents (see :func:`_tail_tables`).  The pattern
-    only compares values, so a tail whose equal deficits sit apart would
-    merely fold less.  Neither caller passes one: :func:`_solve` passes
-    sorted deficits, and :func:`count_completions` those of a profile's
-    weakly descending takes, which are equal only where the takes are.
-    The window cut comes before any key is built.  Inside it, each entry
-    sorts the deficits left and is dropped when the smallest is negative:
-    ``rest`` never holds a negative deficit, so only a take above its tail
-    deficit can leave one.  A key is read from ``memo`` once, and a miss
-    goes straight to :func:`_fill`.  Only at two teams does a row have no
-    encounters: team 2's, met one way once the check on ``need`` has
-    passed.
+    The deficits are sorted, so the tail table is the one folded for the
+    pattern of equal neighbouring deficits among the tail opponents (see
+    :func:`_tail_tables`).  The window cut comes before any key is built.
+    Inside it, each entry sorts the deficits left and is dropped when the
+    smallest is negative: ``rest`` never holds a negative deficit, so only a
+    take above its tail deficit can leave one.  A key is read from ``memo``
+    once, and a miss goes straight to :func:`_fill`.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
-    if not width:
-        return 1  # two teams, and team 2 needs nothing more
     if width <= _TAIL_WIDTH:
         tail = deficits[j:]
         # Widths above 3 would leave the higher bits clear and only fold less.
@@ -246,13 +222,20 @@ def _fill(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
     """
     if len(deficits) < 2:
         return 1
-    lo, hi = _window(deficits)
-    total = memo[deficits] = _row(deficits, 1, deficits[0], [], lo, hi, memo)
+    # Once the first row closes, the other teams must meet what is left of
+    # their deficits among themselves, 4 to 6 points per encounter: bounds
+    # on what they may take from that row in total.
+    m = len(deficits) - 1
+    pairs = m * (m - 1) // 2
+    owed = sum(deficits) - deficits[0]
+    total = memo[deficits] = _row(
+        deficits, 1, deficits[0], [], owed - 6 * pairs, owed - 4 * pairs, memo
+    )
     return total
 
 
 def split_prefixes(profile: Profile, length: int) -> list[tuple[int, ...]]:
-    """All prefixes of ``length`` codes for team 2's row of this profile."""
+    """All prefixes of ``length`` codes for a row against this profile's other teams."""
     width = profile.n - 2
     if not 0 <= length <= width:
         raise ValueError(f"prefix length {length} out of range for n={profile.n}")

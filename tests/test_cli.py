@@ -175,6 +175,14 @@ class TestVerify:
         assert code == 2
         assert "--long" in err
 
+    @pytest.mark.parametrize("max_teams", ["1", "-3"])
+    def test_below_two_teams_refused(self, capsys, max_teams):
+        # Nothing to compare is not a pass.
+        code, out, err = run_cli(capsys, "verify", "--max-teams", max_teams)
+        assert code == 2
+        assert out == ""
+        assert err == f"verify needs --max-teams >= 2, got {max_teams}\n"
+
 
 class TestProfiles:
     def test_ignores_workers_env(self, capsys, monkeypatch):
@@ -211,6 +219,13 @@ class TestEulerian:
         code, out, _ = run_cli(capsys, "eulerian")
         assert code == 0
         assert "n=9:" in out
+
+    @pytest.mark.parametrize("max_n", ["1", "-3"])
+    def test_below_two_teams_refused(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "eulerian", "--max", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == f"the table starts at n=2; got --max {max_n}\n"
 
 
 class TestResume:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from league_ties.brute import count_tied_bruteforce
+from league_ties.engine import count_tied
 from league_ties.errors import IncompleteTableError
 from league_ties.scoring import (
     DOUBLED_TAKES,
@@ -34,6 +36,17 @@ class TestLeagueSize:
     def test_too_small(self):
         with pytest.raises(ValueError):
             LeagueSize(1)
+
+    @pytest.mark.parametrize("size", [4.9, 4.0, "5", True], ids=repr)
+    @pytest.mark.parametrize(
+        "make", [LeagueSize, count_tied, count_tied_bruteforce],
+        ids=lambda f: f.__name__,
+    )
+    def test_team_count_must_be_an_int(self, make, size):
+        # No truncation to 4 or reading of "5": a size that is not an int
+        # (bool included) is refused before anything is counted.
+        with pytest.raises(ValueError, match="must be an int"):
+            make(size)
 
     def test_match_order_is_home_major_and_complete(self):
         order = match_order(3)

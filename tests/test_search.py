@@ -13,7 +13,15 @@ from league_ties import brute
 from league_ties.brute import count_completions_bruteforce
 from league_ties.engine import KNOWN_TOTALS, count_tied
 from league_ties.eulerian import eulerian_count
-from league_ties.profiles import Profile, ProfileClass, classify_profile, iter_profiles
+from league_ties.profiles import (
+    PRUNED_CLASSES,
+    Profile,
+    ProfileClass,
+    classify_profile,
+    doubling_factor,
+    iter_profiles,
+    representation_factor,
+)
 from league_ties.scoring import TAKE_VALUES, complement
 from league_ties.search import (
     _CODES,
@@ -58,7 +66,6 @@ class TestCountCompletions:
         # must reproduce the digraph count (doubling is carried jointly by
         # the take-3 entries and the (3,3) codes inside the search).
         from league_ties.eulerian import eulerian_count_bruteforce
-        from league_ties.profiles import doubling_factor, representation_factor
 
         total = 0
         for p in iter_profiles(4):
@@ -261,10 +268,11 @@ class TestRepeatedDeficits:
             assert any(_solve(d, {}) for d in cases), m
             assert not all(_solve(d, {}) for d in cases), m
 
-    @pytest.mark.parametrize("n, size", [(6, 611), (7, 3855)])
+    @pytest.mark.parametrize("n, size", [(6, 655), (7, 4116)])
     def test_shared_memo_size(self, n, size):
-        # The fold skips lookups, never keys: one shared-memo pass over the
-        # SEARCH profiles leaves the same memo as the unfolded tables did.
+        # One shared-memo pass over the SEARCH profiles stores each profile's
+        # own sorted deficits and every key its rows reach.  The fold skips
+        # lookups, never keys: the unfolded tables leave the same memo.
         memo = {}
         for p in search_profiles(n):
             count_completions(p, memo=memo)
@@ -314,6 +322,34 @@ TIED_BY_LEVEL = {
 }
 
 
+def assert_route_b_is_route_a_by_level(n):
+    """Weighted profile counts summed by the first team's total P (route B),
+    against ``_solve((P,) * n)``, every team short of P points (route A).
+
+    Every profile is counted, pruned and special ones included, so the
+    classification and both closed-form specials are checked on the way.
+    """
+    memo = {}
+    by_level = {}
+    eulerian = 0
+    for p in iter_profiles(n):
+        cls = classify_profile(p)
+        weighted = (
+            representation_factor(p) * doubling_factor(p) * count_completions(p, memo=memo)
+        )
+        by_level[p.taken] = by_level.get(p.taken, 0) + weighted
+        if cls in PRUNED_CLASSES:
+            assert weighted == 0, p
+        elif cls is ProfileClass.ALL_DRAW_SPECIAL:
+            assert weighted == 1, p
+        elif cls is ProfileClass.EULERIAN_SPECIAL:
+            eulerian += weighted
+    assert eulerian == eulerian_count(n)
+    route_a = {p: _solve((p,) * n, {}) for p in range(2 * n - 2, 3 * n - 2)}
+    assert route_a.keys() <= by_level.keys()
+    assert by_level == {p: route_a.get(p, 0) for p in by_level}
+
+
 class TestPerLevel:
     """``_solve`` on n equal deficits P counts the tied seasons at level P."""
 
@@ -330,6 +366,29 @@ class TestPerLevel:
     @pytest.mark.long
     def test_season_tally_four_teams(self):
         assert tied_seasons_by_level(4) == TIED_BY_LEVEL[4]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_route_b_per_level(self, n):
+        assert_route_b_is_route_a_by_level(n)
+
+    @pytest.mark.long
+    def test_route_b_per_level_eight_teams(self):
+        assert_route_b_is_route_a_by_level(8)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_profile_keys_are_the_first_row_of_each_level(self, n):
+        # A profile's key is the sorted deficits its takes leave the other
+        # teams, which is where the first row of (P,) * n lands.  Once every
+        # profile has been counted into one memo, route A finds each key
+        # below its targets there and adds only the targets themselves.
+        memo = {}
+        for p in iter_profiles(n):
+            count_completions(p, memo=memo)
+        before = set(memo)
+        levels = range(2 * n - 2, 3 * n - 2)
+        for level in levels:
+            _solve((level,) * n, memo)
+        assert set(memo) - before == {(level,) * n for level in levels}
 
 
 class TestPrefixSplitting:
