@@ -8,12 +8,27 @@ sweeps are deliberately free of the symmetry and pruning arguments used by
 the optimised counter, which is exactly what makes them useful as oracles.
 
 "Full enumeration" means every outcome is tested against the tie predicate;
-no outcome is skipped, merged with another or derived from a symmetry.  Each
-odometer step fixes all but the first match (season sweep: match 0, team 0
-at home to team 1) or the first pair (completion sweep: teams 0 and 1), and
-closes it in one step: the three results, or six pair codes, are tested
-together, because at most one of them can bring teams 0 and 1 to the
-final level.
+no outcome is skipped, merged with another or derived from a symmetry.  An
+odometer fixes every result outside the first team's own row, and one
+lookup then tests all the ways of completing that row together:
+
+* Season sweep: the row is team 0's n - 1 home matches (matches
+  0..n-2).  Given the other matches, team i (i >= 1) ties with team 0
+  exactly when team 0's gain from the row minus team i's gain from its
+  match there equals the gap p_i - p_0.  A table keyed by that gap vector
+  holds all ``3**(n-1)`` home rows: no two rows close the same gaps, so the
+  state's gaps pick out the one row, if any, that ties the season, and
+  every other row leaves some team off level.
+* Completion sweep: the row is the pairs (0, 1)..(0, k-1).  The six pair
+  codes hand the opponent six different point values, so what teams
+  1..k-1 still need fixes the code of each pair.  A table keyed by those
+  needs holds all ``6**(k-1)`` rows with team 0's gain and the product of
+  the codes' multiplicities; a hit counts when the gain is what team 0
+  needs.
+
+Each of the ``3**(n-1)`` (or ``6**(k-1)``) completions of a state is thus
+tested, just not one at a time.  The tables are built once per league
+size, on first use.
 
 The third is :func:`completions_search`, a row-by-row recursive search of
 the same completions that only cuts a branch once some team overshoots the
@@ -24,7 +39,7 @@ package itself never calls it; it serves the test suite.
 
 The season sweep works in aligned blocks of ``3**min(M, 10)`` encodings,
 the unit a pool of workers shares: one block for n <= 3, 9 at n = 4 and
-59 049 at n = 5.  Their counts add up to the season's.
+59 049 at n = 5.  Their per-level counts add up to the season's.
 
 Points come from :mod:`league_ties.scoring` alone: the result and pair
 tables, and the odometer steps, which are the differences between
@@ -36,8 +51,10 @@ bookkeeping incrementally instead of re-deriving it per step.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import partial
+from collections.abc import Iterable, Sequence
+from functools import cache, partial
+from itertools import product
+from math import prod
 
 from .errors import SizeRefusedError
 from .scoring import (
@@ -79,70 +96,114 @@ def _steps(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(y - x for x, y in zip(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])]
 
 
-def count_tied_block(n: int, block: int) -> int:
-    """Tied outcomes among the ``3**L`` season encodings of one block.
+@cache
+def _gap_weights(n: int) -> tuple[int, ...]:
+    """Per-team weights that fold the gaps p_i - p_0 (i = 1..n-1) into one integer.
+
+    ``sum(p * w for p, w in zip(points, weights))`` is the gap vector read
+    as balanced base-``12n`` digits.  Every team holds 0..6(n-1) points, so
+    each gap lies within 6(n-1) of zero, less than half the base: distinct
+    gap vectors give distinct integers.
+    """
+    digits = [(12 * n) ** i for i in range(n - 1)]
+    return (-sum(digits), *digits)
+
+
+@cache
+def home_row_table(n: int) -> dict[int, int]:
+    """Every home row of team 0, keyed by the gaps that it closes.
+
+    For each of the ``3**(n-1)`` result rows of team 0's home matches, team
+    0 gains ``g`` and team i gains ``a_i``; the season ties when each gap
+    p_i - p_0 equals ``g - a_i``.  The key folds those gaps with
+    :func:`_gap_weights`, and the value is ``g - (2n - 2)``: team 0's
+    points plus the value is the tied level's offset from the lowest level.
+    """
+    weights = _gap_weights(n)[1:]
+    table = {}
+    for row in product([result_points(r) for r in range(3)], repeat=n - 1):
+        gain = sum(home for home, _ in row)
+        key = sum((gain - away) * w for (_, away), w in zip(row, weights))
+        table[key] = gain - (2 * n - 2)
+    return table
+
+
+def count_tied_block(n: int, block: int) -> tuple[int, ...]:
+    """Tied outcomes among the ``3**L`` season encodings of one block, by level.
 
     Digit ``i`` of an encoding is the result of match ``i`` in the canonical
     home-major order; an outcome is tied when all teams finish equal.  With
     ``M`` matches and ``L = min(M, 10)``, the block's encodings start at
     ``block * 3**L`` and matches L..M-1 take the digits of ``block``.  The
-    odometer runs over matches 1..L-1; match 0 (team 0 at home to team 1)
-    owns the lowest digit, so each odometer state stands for three
-    consecutive encodings, tested at once: a result ties the season when it
-    brings teams 0 and 1 level with each other and with every other team.
+    odometer runs over matches n-1..L-1; team 0's home matches 0..n-2 own
+    the lowest digits, so each odometer state stands for ``3**(n-1)``
+    consecutive encodings, tested at once by one lookup in
+    :func:`home_row_table`.  Entry ``i`` of the result counts the ties at
+    level ``2n - 2 + i``, for i = 0..n-1.
     """
     if not 2 <= n <= BRUTE_CEILING:
         raise ValueError(f"season sweep supports 2 <= n <= {BRUTE_CEILING}, got {n}")
     if not 0 <= block < _season_blocks(n):
         raise ValueError(f"bad block {block} for n={n}")
     results = [result_points(r) for r in range(3)]
-    (step1_h, step1_a), (step2_h, step2_a), (wrap_h, wrap_a) = _steps(results)
+    weights = _gap_weights(n)
+    close = home_row_table(n)
     matches = match_order(n)
-    outer = matches[1:_BLOCK_MATCHES]
+    outer = matches[n - 1 : _BLOCK_MATCHES]
+    # Per odometer match, indexed by its result: how the gap key and team
+    # 0's points move when that result steps on (2 wraps to 0).  Team 0 is
+    # never at home here, so only an away side can move its points.
+    steps = _steps(results)
+    moves = [
+        [(dh * weights[h] + da * weights[a], da if a == 0 else 0) for dh, da in steps]
+        for h, a in outer
+    ]
     digits = [0] * len(outer)
     points = [0] * n
     e = block * 3 ** len(outer)  # the odometer digits start on result 0
-    for h, a in matches[1:]:
+    for h, a in matches[n - 1 :]:
         e, r = divmod(e, 3)
         home, away = results[r]
         points[h] += home
         points[a] += away
+    key = sum(p * w for p, w in zip(points, weights))
+    p0 = points[0]
 
-    # Keyed by team 1's points minus team 0's before match 0: the team 0
-    # points of the one result that levels the two (home minus away points
-    # differ between results, so at most one can), and how many teams sit on
-    # the final level before match 0 when the season ties: the n - 2 others
-    # plus whichever of teams 0 and 1 takes nothing from match 0.
-    close = {
-        home - away: (home, n - 2 + (home == 0) + (away == 0)) for home, away in results
-    }
-    count = 0
+    ties = [0] * n
     remaining = 3 ** len(outer)
     while True:
-        hit = close.get(points[1] - points[0])
-        if hit is not None and points.count(points[0] + hit[0]) == hit[1]:
-            count += 1
+        hit = close.get(key)
+        if hit is not None:
+            ties[p0 + hit] += 1
         remaining -= 1
         if remaining == 0:
-            return count
+            return tuple(ties)
         i = 0
         while True:
-            h, a = outer[i]
             r = digits[i]
-            if r == 0:
-                digits[i] = 1
-                points[h] += step1_h
-                points[a] += step1_a
-                break
-            if r == 1:
-                digits[i] = 2
-                points[h] += step2_h
-                points[a] += step2_a
+            dk, dp = moves[i][r]
+            key += dk
+            p0 += dp
+            if r != 2:
+                digits[i] = r + 1
                 break
             digits[i] = 0  # last result -> first, carry
-            points[h] += wrap_h
-            points[a] += wrap_a
             i += 1
+
+
+@cache
+def first_row_table(k: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Every code row of pairs (0, 1)..(0, k-1), keyed by what it hands teams 1..k-1.
+
+    The value is team 0's gain from the row and the product of its codes'
+    multiplicities.  Each code hands the opponent a different number of
+    points, so the ``6**(k-1)`` rows have distinct keys.
+    """
+    table = {}
+    for row in product(zip(PAIR_POINTS, PAIR_MULTIPLICITY), repeat=k - 1):
+        key = tuple(b for (_, b), _ in row)
+        table[key] = (sum(a for (a, _), _ in row), prod(mult for _, mult in row))
+    return table
 
 
 def completions_sweep(base: tuple[int, ...], target: int) -> int:
@@ -153,48 +214,38 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
     any kind); an assignment with all teams exactly at ``target`` contributes
     the product of its codes' multiplicities.
 
-    The odometer runs over pairs 1.. only.  Pair 0 is teams 0 and 1, and its
-    six codes are tested at once for each odometer state: the code whose
-    points take team 0 to ``target`` is the only candidate, and it counts
-    when it also takes team 1 there and every other team already sits on
-    ``target``.
+    The odometer runs over the pairs among teams 1..k-1.  For each of its
+    states one lookup in :func:`first_row_table` tests the ``6**(k-1)`` code
+    rows of team 0 together: what teams 1..k-1 still need picks out the one
+    row that can bring them to ``target``, and it counts when it also brings
+    team 0 there.
     """
     k = len(base)
     if k > 8:
         raise ValueError(f"completion sweep supports at most 8 teams, got {k}")
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    m = len(pairs)
-    points = list(base)
-    if m == 0:
-        return 1 if all(p == target for p in points) else 0
-
-    # Keyed by team 0's points before pair 0: team 1's points that the same
-    # code completes, its multiplicity, and the number of teams on target
-    # before pair 0 when the assignment ties (the k - 2 others plus a team
-    # that takes nothing from pair 0).
-    close = {
-        target - a: (target - b, mult, k - 2 + (a == 0) + (b == 0))
-        for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
-    }
-    # Multiplicities are 1 or 2, so an assignment weighs pair 0's
+    close = first_row_table(k)
+    want = target - base[0]  # team 0 plays only its own row
+    # Multiplicities are 1 or 2, so an assignment weighs its first row's
     # multiplicity shifted by the number of doubled odometer codes.
     rows = [(a, b, mult - 1) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)]
     *steps, (wrap_a, wrap_b, wrap_dbl) = _steps(rows)
     step_a, step_b, step_dbl = zip(*steps)
     last = len(rows) - 1
 
-    outer = pairs[1:]
-    codes = [0] * (m - 1)
+    # need[i] is what team i + 1 still needs; the odometer pairs index it.
+    outer = [(i, j) for i in range(k - 1) for j in range(i + 1, k - 1)]
+    codes = [0] * len(outer)
+    need = [target - p for p in base[1:]]
     first_a, first_b, doubled = rows[0]  # the odometer codes start on code 0
     for i, j in outer:
-        points[i] += first_a
-        points[j] += first_b
-    doubled *= m - 1
+        need[i] -= first_a
+        need[j] -= first_b
+    doubled *= len(outer)
     count = 0
-    remaining = len(rows) ** (m - 1)
+    remaining = len(rows) ** len(outer)
     while True:
-        hit = close.get(points[0])
-        if hit is not None and points[1] == hit[0] and points.count(target) == hit[2]:
+        hit = close.get(tuple(need))
+        if hit is not None and hit[0] == want:
             count += hit[1] << doubled
         remaining -= 1
         if remaining == 0:
@@ -205,14 +256,14 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
             i, j = outer[idx]
             if c == last:  # last code -> first, carry
                 codes[idx] = 0
-                points[i] += wrap_a
-                points[j] += wrap_b
+                need[i] -= wrap_a
+                need[j] -= wrap_b
                 doubled += wrap_dbl
                 idx += 1
             else:
                 codes[idx] = c + 1
-                points[i] += step_a[c]
-                points[j] += step_b[c]
+                need[i] -= step_a[c]
+                need[j] -= step_b[c]
                 doubled += step_dbl[c]
                 break
 
@@ -305,16 +356,19 @@ def tally_points(results: Sequence[int], size: LeagueSize | int) -> tuple[int, .
     return tuple(points)
 
 
-def count_tied_bruteforce(size: LeagueSize | int, *, workers: int = 1) -> int:
-    """Count tied outcomes by sweeping all ``3**M`` season encodings.
+def count_tied_by_level_bruteforce(
+    size: LeagueSize | int, *, workers: int = 1
+) -> dict[int, int]:
+    """Tied outcomes by level, by sweeping all ``3**M`` season encodings.
 
-    Refuses ``n > 5``: the n=5 sweep already tests ~3.5e9 encodings, and the
-    n=6 sweep, 3**30 of them, would take about 340 days at 7e6 a second.
-    The sweep is split into aligned blocks of ``3**10`` encodings (one block
-    of ``3**M`` when ``M < 10``), see :func:`count_tied_block`; block counts
-    combine by addition, so any ``workers`` count gives the same total.  A
-    sweep of one block runs in-process, and a pool never starts more
-    workers than there are blocks.
+    Maps each level P = 2n-2..3n-3 (the points every team finishes on) to
+    the number of tied seasons at that level.  Refuses ``n > 5``: the n=6
+    sweep would mean 3**25 odometer states, about three days on one core
+    at the n=5 rate of 3.6e6 a second.  The sweep is split into aligned
+    blocks of ``3**10`` encodings (one block of ``3**M`` when ``M < 10``),
+    see :func:`count_tied_block`; block counts combine by addition, so any
+    ``workers`` count gives the same tally.  A sweep of one block runs
+    in-process, and a pool never starts more workers than there are blocks.
     """
     size = as_league_size(size)
     if size.n > BRUTE_CEILING:
@@ -322,12 +376,31 @@ def count_tied_bruteforce(size: LeagueSize | int, *, workers: int = 1) -> int:
             f"brute-force sweep of n={size.n} means 3**{size.matches} outcomes; "
             f"the ceiling is n={BRUTE_CEILING}"
         )
-    blocks = _season_blocks(size.n)
+    n = size.n
+    blocks = _season_blocks(n)
+    sweep = partial(count_tied_block, n)
     if workers <= 1 or blocks == 1:
-        return sum(count_tied_block(size.n, b) for b in range(blocks))
-    sweep = partial(count_tied_block, size.n)
+        return _by_level(map(sweep, range(blocks)), n)
+    # An n = 5 block is only 729 odometer states; smaller chunks cost the
+    # pool more than they balance.
     with Pool(min(workers, blocks)) as pool:
-        return sum(pool.imap_unordered(sweep, range(blocks), chunksize=16))
+        return _by_level(pool.imap_unordered(sweep, range(blocks), chunksize=256), n)
+
+
+def _by_level(per_block: Iterable[tuple[int, ...]], n: int) -> dict[int, int]:
+    ties = [0] * n
+    for block_ties in per_block:
+        for i, t in enumerate(block_ties):
+            ties[i] += t
+    return {2 * n - 2 + i: t for i, t in enumerate(ties)}
+
+
+def count_tied_bruteforce(size: LeagueSize | int, *, workers: int = 1) -> int:
+    """Count tied outcomes by sweeping all ``3**M`` season encodings.
+
+    The sum over levels of :func:`count_tied_by_level_bruteforce`.
+    """
+    return sum(count_tied_by_level_bruteforce(size, workers=workers).values())
 
 
 def _check_takes(takes: Sequence[int], n: int) -> tuple[int, ...]:
@@ -337,6 +410,9 @@ def _check_takes(takes: Sequence[int], n: int) -> tuple[int, ...]:
     for t in takes:
         if t not in TAKE_VALUES:
             raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
+        # No reading 4.0 as 4; bool is an int subclass.
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"bad take {t!r}; a take must be an int")
     return takes
 
 

@@ -178,10 +178,6 @@ class CheckpointLedger:
         if record.get("kind") != "entry":
             raise ValueError(f"unexpected record kind {record.get('kind')!r}")
         takes = tuple(record["takes"])
-        # The writer emits JSON integers; a float or bool equal to a take
-        # (6.0, false) would pass Profile's checks.
-        if any(type(t) is not int for t in takes):
-            raise ValueError(f"takes {record['takes']!r} are not all integers")
         profile = Profile(takes)
         digits = record["completions"]
         # The writer emits a decimal string; a number, bool, sign, space or

@@ -15,7 +15,9 @@ Every count builds and classifies each profile of its league (252 at n = 6,
 1 287 at n = 9), and every resume validates each ledger record through a
 :class:`Profile`, so this layer is a fixed cost of each call.  Its functions
 read the takes once and test them with set, ``count`` and dict operations
-rather than per-take generators; nothing is cached between calls.
+rather than per-take generators; nothing is cached between calls.  A
+:class:`Profile` refuses any take that is not an ``int`` (4.0, ``True``),
+but :func:`iter_profiles` draws its takes itself and skips those checks.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .scoring import COMPLEMENT, DOUBLED_TAKES, PAIR_POINTS, TAKE_VALUES
 
 _DESCENDING_TAKES = tuple(sorted(TAKE_VALUES, reverse=True))
 _TAKE_SET = frozenset(TAKE_VALUES)
+_INT = frozenset({int})
 
 #: Takes whose encounter holds a draw: the pair shares fewer than 6 points.
 _DRAWISH_TAKES = frozenset(a for a, b in PAIR_POINTS if a + b < 6)
@@ -46,12 +49,16 @@ class Profile:
         if len(takes) < 1:
             raise ValueError("profile must cover at least one opponent")
         try:
-            valid = _TAKE_SET.issuperset(takes)
+            valid = _TAKE_SET.issuperset(takes) and _INT.issuperset(map(type, takes))
         except TypeError:  # an unhashable take is a bad take too
             valid = False
         if not valid:
-            bad = next(t for t in takes if t not in TAKE_VALUES)
-            raise ValueError(f"bad take {bad!r}; must be one of {TAKE_VALUES}")
+            for t in takes:
+                if t not in TAKE_VALUES:
+                    raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
+                # No reading 4.0 as 4; bool is an int subclass.
+                if not isinstance(t, int) or isinstance(t, bool):
+                    raise ValueError(f"bad take {t!r}; a take must be an int")
         if list(takes) != sorted(takes, reverse=True):
             raise ValueError(f"takes must be weakly descending, got {takes}")
 
@@ -103,8 +110,12 @@ def iter_profiles(n: int) -> Iterator[Profile]:
     """
     if n < 2:
         raise ValueError(f"a league needs at least 2 teams, got {n}")
+    # The takes are ints drawn in descending order, so the constructor's
+    # checks, most of its cost, are skipped.
     for takes in combinations_with_replacement(_DESCENDING_TAKES, n - 1):
-        yield Profile(takes)
+        profile = object.__new__(Profile)
+        object.__setattr__(profile, "takes", takes)
+        yield profile
 
 
 def representation_factor(profile: Profile) -> int:

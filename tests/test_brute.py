@@ -111,17 +111,26 @@ class TestSeasonSweep:
         with pytest.raises(SizeRefusedError):
             count_tied_bruteforce(6)
 
-    @pytest.mark.parametrize("n, block", [(2, 0), (3, 0), (4, 0), (4, 8)])
+    # n = 5 is the first size whose odometer closes team 0's home row of
+    # four matches; block 31337 holds 8 ties.
+    @pytest.mark.parametrize("n, block", [(2, 0), (3, 0), (4, 0), (4, 8), (5, 31337)])
     def test_whole_block_matches_reference(self, n, block):
         # A block is 3**min(M, 10) aligned encodings; the reference decodes
-        # and tallies each one.
+        # and tallies each one, and files each tie under its level.
         size = LeagueSize(n)
         span = 3 ** min(size.matches, 10)
-        want = 0
+        want = [0] * n
         for e in range(block * span, (block + 1) * span):
             points = tally_points(decode_outcome(e, size), size)
-            want += min(points) == max(points)
-        assert count_tied_block(n, block) == want
+            if min(points) == max(points):
+                want[points[0] - (2 * n - 2)] += 1
+        assert count_tied_block(n, block) == tuple(want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_home_row_keys_are_distinct(self, n):
+        # One lookup tests every home row of team 0 only if no two rows
+        # close the same gaps.
+        assert len(brute.home_row_table(n)) == 3 ** (n - 1)
 
     def test_block_out_of_range(self):
         with pytest.raises(ValueError):
@@ -196,6 +205,20 @@ class TestCompletionSweep:
             count_completions_bruteforce((4, 5), LeagueSize(3))
         with pytest.raises(ValueError):
             count_completions_bruteforce((4,), LeagueSize(3))
+
+    def test_rejects_take_not_int(self):
+        # (4.0, 1.0) would otherwise count the 2 completions of (4, 1).
+        for takes, bad in [((4.0, 1.0), "4.0"), ((4, True), "True")]:
+            with pytest.raises(ValueError, match=rf"^bad take {bad}; a take must be an int$"):
+                count_completions_bruteforce(takes, LeagueSize(3))
+        with pytest.raises(ValueError, match=r"^bad take 5; must be one of \(0, 1, 2, 3, 4, 6\)$"):
+            count_completions_bruteforce((4, 5), LeagueSize(3))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_first_row_keys_are_distinct(self, k):
+        # One lookup tests every code row of team 0 only if no two rows hand
+        # teams 1..k-1 the same points.
+        assert len(brute.first_row_table(k)) == 6 ** (k - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reconstructs_season_count(self, n):

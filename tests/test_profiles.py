@@ -40,6 +40,20 @@ class TestProfileType:
             with pytest.raises(ValueError, match=message):
                 Profile(takes)
 
+    def test_rejects_take_not_int(self):
+        # A take equal to a take value but not an int is refused, as
+        # LeagueSize refuses such a team count: no reading 4.0 as 4.
+        cases = [((4.0, 3.0, 3.0, 0.0), "4.0"), ((True,), "True"), ((4, False), "False")]
+        for takes, bad in cases:
+            with pytest.raises(ValueError, match=rf"^bad take {bad}; a take must be an int$"):
+                Profile(takes)
+
+    def test_accepts_int_subclass(self):
+        class Take(int):
+            pass
+
+        assert Profile((Take(4), 3)).takes == (4, 3)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="^profile must cover at least one opponent$"):
             Profile(())
@@ -63,6 +77,14 @@ class TestGeneration:
         profiles = list(iter_profiles(n))
         assert len(profiles) == count
         assert len(set(profiles)) == count
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_profiles_pass_the_constructor(self, n):
+        # iter_profiles skips the constructor's checks; each of its profiles
+        # must pass them all the same.
+        for p in iter_profiles(n):
+            assert Profile(p.takes) == p
+            assert all(type(t) is int for t in p.takes)
 
     def test_descending_lex_order(self):
         profiles = [p.takes for p in iter_profiles(4)]

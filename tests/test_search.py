@@ -363,6 +363,19 @@ class TestPerLevel:
     def test_season_tally(self, n):
         assert tied_seasons_by_level(n) == TIED_BY_LEVEL[n]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", sorted(TIED_BY_LEVEL))
+    def test_season_sweep_per_level(self, n, workers):
+        # Only n = 4 has more than one block, so only it starts a pool.
+        assert brute.count_tied_by_level_bruteforce(n, workers=workers) == TIED_BY_LEVEL[n]
+
+    @pytest.mark.long
+    def test_season_sweep_per_level_five_teams(self):
+        levels = range(8, 13)
+        want = {p: _solve((p,) * 5, {}) for p in levels}
+        assert brute.count_tied_by_level_bruteforce(5, workers=2) == want
+        assert sum(want.values()) == KNOWN_TOTALS[5]
+
     @pytest.mark.long
     def test_season_tally_four_teams(self):
         assert tied_seasons_by_level(4) == TIED_BY_LEVEL[4]
