@@ -8,27 +8,24 @@ sweeps are deliberately free of the symmetry and pruning arguments used by
 the optimised counter, which is exactly what makes them useful as oracles.
 
 "Full enumeration" means every outcome is tested against the tie predicate;
-no outcome is skipped, merged with another or derived from a symmetry.  An
-odometer fixes every result outside the first team's own row, and one
-lookup then tests all the ways of completing that row together:
+no outcome is skipped, merged with another or derived from a symmetry.
+Both sweeps run on one odometer, :func:`_sweep`, over every result outside
+the first team's own row.  Each state folds into one integer key
+(:func:`_fold_weights`), and one lookup in a table of all the rows, folded
+the same way, tests every way of completing that row together:
 
-* Season sweep: the row is team 0's n - 1 home matches (matches
-  0..n-2).  Given the other matches, team i (i >= 1) ties with team 0
+* Season sweep: the row is team 0's n - 1 home matches (matches 0..n-2),
+  and the key folds the gaps p_i - p_0 (i >= 1).  Team i ties with team 0
   exactly when team 0's gain from the row minus team i's gain from its
-  match there equals the gap p_i - p_0.  A table keyed by that gap vector
-  holds all ``3**(n-1)`` home rows: no two rows close the same gaps, so the
-  state's gaps pick out the one row, if any, that ties the season, and
-  every other row leaves some team off level.
-* Completion sweep: the row is the pairs (0, 1)..(0, k-1).  The six pair
-  codes hand the opponent six different point values, so what teams
-  1..k-1 still need fixes the code of each pair.  A table keyed by those
-  needs holds all ``6**(k-1)`` rows with team 0's gain and the product of
-  the codes' multiplicities; a hit counts when the gain is what team 0
-  needs.
+  match there equals the gap; a hit names the tied level.
+* Completion sweep: the row is the pairs (0, 1)..(0, k-1), and the key
+  folds what each of the k teams still needs.  The six pair codes hand the
+  opponent six different point values, so the needs of teams 1..k-1 pick
+  out the one row that can meet them, and team 0's need is a digit too; a
+  hit names the row's number of doubled codes.
 
 Each of the ``3**(n-1)`` (or ``6**(k-1)``) completions of a state is thus
-tested, just not one at a time.  The tables are built once per league
-size, on first use.
+tested, just not one at a time.  The tables are built on first use.
 
 The third is :func:`completions_search`, a row-by-row recursive search of
 the same completions that only cuts a branch once some team overshoots the
@@ -44,25 +41,22 @@ the unit a pool of workers shares: one block for n <= 3, 9 at n = 4 and
 Points come from :mod:`league_ties.scoring` alone: the result and pair
 tables, and the odometer steps, which are the differences between
 consecutive codes (the wrap runs from the last code back to the first).
-All values are exact Python integers, so nothing can overflow.  The sweep
-loops bind their steps to locals, avoid attribute lookups and update their
-bookkeeping incrementally instead of re-deriving it per step.
+All values are exact Python integers, so nothing can overflow.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
-from math import prod
 
 from .errors import SizeRefusedError
 from .scoring import (
     PAIR_MULTIPLICITY,
     PAIR_POINTS,
     LeagueSize,
-    TAKE_VALUES,
     as_league_size,
+    check_takes,
     complement,
     match_order,
     result_points,
@@ -70,6 +64,9 @@ from .scoring import (
 
 #: Largest n swept; 3**20 encodings is the desk-scale ceiling.
 BRUTE_CEILING = 5
+
+# Most points one side takes from the two matches of a pairing.
+_PAIR_TOP = max(a for a, _ in PAIR_POINTS)
 
 
 def Pool(processes: int):
@@ -96,17 +93,56 @@ def _steps(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(y - x for x, y in zip(a, b)) for a, b in zip(rows, rows[1:] + rows[:1])]
 
 
-@cache
-def _gap_weights(n: int) -> tuple[int, ...]:
-    """Per-team weights that fold the gaps p_i - p_0 (i = 1..n-1) into one integer.
+def _fold_weights(bound: int, width: int) -> tuple[int, ...]:
+    """Weights that fold ``width`` integer digits into one key: powers of ``bound + 1``.
 
-    ``sum(p * w for p, w in zip(points, weights))`` is the gap vector read
-    as balanced base-``12n`` digits.  Every team holds 0..6(n-1) points, so
-    each gap lies within 6(n-1) of zero, less than half the base: distinct
-    gap vectors give distinct integers.
+    Two digit vectors that differ by at most ``bound`` in every place but
+    the last fold to different keys: at the lowest place where they differ,
+    by ``0 < |d| <= bound``, the keys differ by ``d`` times that place's
+    weight plus a multiple of the next, ``bound + 1`` times larger, weight.
+    So a state and a row share a key exactly when their digits are equal,
+    once ``bound`` covers how far a state's digits can lie from a row's:
+    each sweep reads that from the season (or assignment) the two make.
     """
-    digits = [(12 * n) ** i for i in range(n - 1)]
-    return (-sum(digits), *digits)
+    return tuple((bound + 1) ** i for i in range(width))
+
+
+def _sweep(moves: list, key: int, aux: int, close: dict, tally: list[int]) -> None:
+    """Run one odometer and tally every state whose key closes a row.
+
+    Digit ``i`` starts on 0; stepping it on from value ``r`` adds
+    ``moves[i][r]`` to ``(key, aux)``, and its last value wraps to 0 and
+    carries into digit ``i + 1``.  Every digit has the same radix.  Each of
+    the ``radix ** len(moves)`` states, the first included, looks its key
+    up in ``close`` once, and a hit adds 1 to ``tally[hit + aux]``.
+    """
+    last = max(map(len, moves), default=1) - 1
+    digits = [0] * len(moves)
+    remaining = (last + 1) ** len(moves)
+    while True:
+        hit = close.get(key)
+        if hit is not None:
+            tally[hit + aux] += 1
+        remaining -= 1
+        if remaining == 0:
+            return
+        i = 0
+        while True:
+            d = digits[i]
+            dk, da = moves[i][d]
+            key += dk
+            aux += da
+            if d != last:
+                digits[i] = d + 1
+                break
+            digits[i] = 0  # last value -> first, carry
+            i += 1
+
+
+def _gap_bound(n: int) -> int:
+    # A state's gaps minus a home row's are the final gaps F_i - F_0 of the
+    # season the two make, and every team ends on 0..6(n-1) points.
+    return _PAIR_TOP * (n - 1)
 
 
 @cache
@@ -115,11 +151,11 @@ def home_row_table(n: int) -> dict[int, int]:
 
     For each of the ``3**(n-1)`` result rows of team 0's home matches, team
     0 gains ``g`` and team i gains ``a_i``; the season ties when each gap
-    p_i - p_0 equals ``g - a_i``.  The key folds those gaps with
-    :func:`_gap_weights`, and the value is ``g - (2n - 2)``: team 0's
+    p_i - p_0 equals ``g - a_i``.  The key folds those gaps (teams 1..n-1)
+    with :func:`_fold_weights`, and the value is ``g - (2n - 2)``: team 0's
     points plus the value is the tied level's offset from the lowest level.
     """
-    weights = _gap_weights(n)[1:]
+    weights = _fold_weights(_gap_bound(n), n - 1)
     table = {}
     for row in product([result_points(r) for r in range(3)], repeat=n - 1):
         gain = sum(home for home, _ in row)
@@ -146,19 +182,18 @@ def count_tied_block(n: int, block: int) -> tuple[int, ...]:
     if not 0 <= block < _season_blocks(n):
         raise ValueError(f"bad block {block} for n={n}")
     results = [result_points(r) for r in range(3)]
-    weights = _gap_weights(n)
-    close = home_row_table(n)
+    gaps = _fold_weights(_gap_bound(n), n - 1)
+    weights = (-sum(gaps), *gaps)  # per team: the key is sum(p * w)
     matches = match_order(n)
     outer = matches[n - 1 : _BLOCK_MATCHES]
     # Per odometer match, indexed by its result: how the gap key and team
-    # 0's points move when that result steps on (2 wraps to 0).  Team 0 is
-    # never at home here, so only an away side can move its points.
+    # 0's points move when that result steps on.  Team 0 is never at home
+    # here, so only an away side can move its points.
     steps = _steps(results)
     moves = [
         [(dh * weights[h] + da * weights[a], da if a == 0 else 0) for dh, da in steps]
         for h, a in outer
     ]
-    digits = [0] * len(outer)
     points = [0] * n
     e = block * 3 ** len(outer)  # the odometer digits start on result 0
     for h, a in matches[n - 1 :]:
@@ -167,42 +202,26 @@ def count_tied_block(n: int, block: int) -> tuple[int, ...]:
         points[h] += home
         points[a] += away
     key = sum(p * w for p, w in zip(points, weights))
-    p0 = points[0]
-
+    # A tie's level offset is team 0's points plus the hit.
     ties = [0] * n
-    remaining = 3 ** len(outer)
-    while True:
-        hit = close.get(key)
-        if hit is not None:
-            ties[p0 + hit] += 1
-        remaining -= 1
-        if remaining == 0:
-            return tuple(ties)
-        i = 0
-        while True:
-            r = digits[i]
-            dk, dp = moves[i][r]
-            key += dk
-            p0 += dp
-            if r != 2:
-                digits[i] = r + 1
-                break
-            digits[i] = 0  # last result -> first, carry
-            i += 1
+    _sweep(moves, key, points[0], home_row_table(n), ties)
+    return tuple(ties)
 
 
-@cache
-def first_row_table(k: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Every code row of pairs (0, 1)..(0, k-1), keyed by what it hands teams 1..k-1.
+@lru_cache(maxsize=128)  # the bound follows the inputs, so cap the tables kept
+def first_row_table(k: int, bound: int) -> dict[int, int]:
+    """Every code row of pairs (0, 1)..(0, k-1), keyed by the needs that it meets.
 
-    The value is team 0's gain from the row and the product of its codes'
-    multiplicities.  Each code hands the opponent a different number of
-    points, so the ``6**(k-1)`` rows have distinct keys.
+    The key folds, with ``_fold_weights(bound, k)``, the points the row
+    hands teams 1..k-1 and then team 0's gain, the digit order of
+    :func:`completions_sweep`; the value is the row's number of doubled codes.
     """
+    weights = _fold_weights(bound, k)
     table = {}
     for row in product(zip(PAIR_POINTS, PAIR_MULTIPLICITY), repeat=k - 1):
-        key = tuple(b for (_, b), _ in row)
-        table[key] = (sum(a for (a, _), _ in row), prod(mult for _, mult in row))
+        gain = sum(a for (a, _), _ in row)
+        key = gain * weights[-1] + sum(b * w for ((_, b), _), w in zip(row, weights))
+        table[key] = sum(mult - 1 for _, mult in row)
     return table
 
 
@@ -216,56 +235,35 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
 
     The odometer runs over the pairs among teams 1..k-1.  For each of its
     states one lookup in :func:`first_row_table` tests the ``6**(k-1)`` code
-    rows of team 0 together: what teams 1..k-1 still need picks out the one
-    row that can bring them to ``target``, and it counts when it also brings
-    team 0 there.
+    rows of team 0 together, keyed by what all k teams still need.
+    Multiplicities are 1 or 2, so the sweep tallies the assignments that
+    tie by their number of doubled codes.
     """
     k = len(base)
-    if k > 8:
-        raise ValueError(f"completion sweep supports at most 8 teams, got {k}")
-    close = first_row_table(k)
-    want = target - base[0]  # team 0 plays only its own row
-    # Multiplicities are 1 or 2, so an assignment weighs its first row's
-    # multiplicity shifted by the number of doubled odometer codes.
+    if not 1 <= k <= 8:
+        raise ValueError(f"completion sweep supports 1 to 8 teams, got {k}")
+    # A state's needs minus a row's points are each team's final distance
+    # from target in the assignment they make, and team i ends on base[i]
+    # plus 0..6(k-1) points.  Team 0's need is the last digit: no bound.
+    span = _PAIR_TOP * (k - 1)
+    bound = max((max(abs(target - p), abs(target - p - span)) for p in base[1:]), default=0)
+    folded = _fold_weights(bound, k)
+    weights = (folded[-1], *folded[:-1])  # per team, team 0 last
     rows = [(a, b, mult - 1) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)]
-    *steps, (wrap_a, wrap_b, wrap_dbl) = _steps(rows)
-    step_a, step_b, step_dbl = zip(*steps)
-    last = len(rows) - 1
-
-    # need[i] is what team i + 1 still needs; the odometer pairs index it.
-    outer = [(i, j) for i in range(k - 1) for j in range(i + 1, k - 1)]
-    codes = [0] * len(outer)
-    need = [target - p for p in base[1:]]
+    outer = [(i, j) for i in range(1, k) for j in range(i + 1, k)]
+    # Per odometer pair, indexed by its code: how the key of the needs and
+    # the number of doubled codes move when that code steps on.
+    steps = _steps(rows)
+    moves = [[(-da * weights[i] - db * weights[j], dd) for da, db, dd in steps] for i, j in outer]
+    need = [target - p for p in base]
     first_a, first_b, doubled = rows[0]  # the odometer codes start on code 0
     for i, j in outer:
         need[i] -= first_a
         need[j] -= first_b
-    doubled *= len(outer)
-    count = 0
-    remaining = len(rows) ** len(outer)
-    while True:
-        hit = close.get(tuple(need))
-        if hit is not None and hit[0] == want:
-            count += hit[1] << doubled
-        remaining -= 1
-        if remaining == 0:
-            return count
-        idx = 0
-        while True:
-            c = codes[idx]
-            i, j = outer[idx]
-            if c == last:  # last code -> first, carry
-                codes[idx] = 0
-                need[i] -= wrap_a
-                need[j] -= wrap_b
-                doubled += wrap_dbl
-                idx += 1
-            else:
-                codes[idx] = c + 1
-                need[i] -= step_a[c]
-                need[j] -= step_b[c]
-                doubled += step_dbl[c]
-                break
+    key = sum(p * w for p, w in zip(need, weights))
+    by_doubled = [0] * (len(outer) + k)  # 0..k(k-1)/2 doubled codes
+    _sweep(moves, key, doubled * len(outer), first_row_table(k, bound), by_doubled)
+    return sum(t << d for d, t in enumerate(by_doubled))
 
 
 def completions_search(base: tuple[int, ...], target: int) -> int:
@@ -403,19 +401,6 @@ def count_tied_bruteforce(size: LeagueSize | int, *, workers: int = 1) -> int:
     return sum(count_tied_by_level_bruteforce(size, workers=workers).values())
 
 
-def _check_takes(takes: Sequence[int], n: int) -> tuple[int, ...]:
-    takes = tuple(takes)
-    if len(takes) != n - 1:
-        raise ValueError(f"need {n - 1} takes for n={n}, got {len(takes)}")
-    for t in takes:
-        if t not in TAKE_VALUES:
-            raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
-        # No reading 4.0 as 4; bool is an int subclass.
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"bad take {t!r}; a take must be an int")
-    return takes
-
-
 def count_completions_bruteforce(takes: Sequence[int], size: LeagueSize | int) -> int:
     """Weighted completions of one ordered take vector, by full sweep.
 
@@ -433,6 +418,9 @@ def count_completions_bruteforce(takes: Sequence[int], size: LeagueSize | int) -
             f"completion sweep of n={size.n} means 6**{size.rest_matches // 2} "
             f"assignments; the ceiling is n={BRUTE_CEILING}"
         )
-    takes = _check_takes(takes, size.n)
+    takes = tuple(takes)
+    if len(takes) != size.n - 1:
+        raise ValueError(f"need {size.n - 1} takes for n={size.n}, got {len(takes)}")
+    check_takes(takes)
     base = tuple(complement(t) for t in takes)
     return completions_sweep(base, sum(takes))

@@ -56,6 +56,9 @@ def _print_report(report: TiedCountReport) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n = args.teams
+    if args.method == "brute" and args.checkpoint is not None:
+        print("--method brute keeps no ledger; drop --checkpoint", file=sys.stderr)
+        return EXIT_USAGE
     # The sweep first: it refuses n > BRUTE_CEILING before sweeping, which
     # covers every size the optimised count refuses, so a refused size
     # neither runs a count nor writes a ledger.

@@ -125,9 +125,13 @@ class CheckpointLedger:
 
     def load(self) -> dict[tuple[int, ...], int]:
         """Validated completion counts already on record, keyed by takes."""
-        if not self.path.exists() or self.path.stat().st_size == 0:
+        try:
+            data = self.path.read_bytes() if self.path.exists() else b""
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint {self.path}: {exc}") from None
+        if not data:
             return {}
-        lines = self.path.read_bytes().split(b"\n")
+        lines = data.split(b"\n")
         # Every line is written with its newline, so a last line without
         # one is a torn write even if it parses.
         torn = lines[-1] != b""

@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .scoring import COMPLEMENT, DOUBLED_TAKES, PAIR_POINTS, TAKE_VALUES
+from .scoring import COMPLEMENT, DOUBLED_TAKES, PAIR_POINTS, TAKE_VALUES, check_takes
 
 _DESCENDING_TAKES = tuple(sorted(TAKE_VALUES, reverse=True))
-_TAKE_SET = frozenset(TAKE_VALUES)
-_INT = frozenset({int})
 
 #: Takes whose encounter holds a draw: the pair shares fewer than 6 points.
 _DRAWISH_TAKES = frozenset(a for a, b in PAIR_POINTS if a + b < 6)
@@ -48,17 +46,7 @@ class Profile:
         takes = self.takes
         if len(takes) < 1:
             raise ValueError("profile must cover at least one opponent")
-        try:
-            valid = _TAKE_SET.issuperset(takes) and _INT.issuperset(map(type, takes))
-        except TypeError:  # an unhashable take is a bad take too
-            valid = False
-        if not valid:
-            for t in takes:
-                if t not in TAKE_VALUES:
-                    raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
-                # No reading 4.0 as 4; bool is an int subclass.
-                if not isinstance(t, int) or isinstance(t, bool):
-                    raise ValueError(f"bad take {t!r}; a take must be an int")
+        check_takes(takes)
         if list(takes) != sorted(takes, reverse=True):
             raise ValueError(f"takes must be weakly descending, got {takes}")
 

@@ -50,6 +50,22 @@ DOUBLED_TAKES = frozenset(
 #: encounter; :func:`complement` is the checked lookup.
 COMPLEMENT = dict(PAIR_POINTS)
 
+_TAKE_SET = frozenset(TAKE_VALUES)
+_INT = frozenset({int})
+
+
+def check_takes(takes: tuple[int, ...]) -> None:
+    """Refuse any take that is not one of :data:`TAKE_VALUES` as an ``int``."""
+    # Types first: an int is hashable, so the value test cannot raise.
+    if _INT.issuperset(map(type, takes)) and _TAKE_SET.issuperset(takes):
+        return
+    for t in takes:  # name the first bad take
+        if t not in TAKE_VALUES:
+            raise ValueError(f"bad take {t!r}; must be one of {TAKE_VALUES}")
+        # No reading 4.0 as 4; bool is an int subclass.
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"bad take {t!r}; a take must be an int")
+
 
 @dataclass(frozen=True)
 class LeagueSize:

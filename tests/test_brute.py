@@ -180,6 +180,19 @@ class TestSeasonSweep:
             assert flipped == count_tied_bruteforce(n)
 
 
+class TestFold:
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_vectors_within_bound_fold_apart(self, bound, width):
+        # Digits 0..bound differ by at most bound in every place; the last
+        # place may differ by any amount.
+        weights = brute._fold_weights(bound, width)
+        lower = [range(bound + 1)] * (width - 1)
+        vectors = list(product(*lower, range(-10, 11)))
+        keys = {sum(d * w for d, w in zip(v, weights)) for v in vectors}
+        assert len(keys) == len(vectors)
+
+
 class TestCompletionSweep:
     def test_two_opponents_needing_mirror_pair(self):
         # Opponents start on 1 and 4 points and both must reach 5: only the
@@ -214,11 +227,30 @@ class TestCompletionSweep:
         with pytest.raises(ValueError, match=r"^bad take 5; must be one of \(0, 1, 2, 3, 4, 6\)$"):
             count_completions_bruteforce((4, 5), LeagueSize(3))
 
+    def test_team_count_range(self):
+        for base in [(), (0,) * 9]:
+            with pytest.raises(ValueError, match="^completion sweep supports 1 to 8 teams"):
+                completions_sweep(base, 0)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_first_row_keys_are_distinct(self, k):
-        # One lookup tests every code row of team 0 only if no two rows hand
-        # teams 1..k-1 the same points.
-        assert len(brute.first_row_table(k)) == 6 ** (k - 1)
+        # One lookup tests every code row of team 0 only if no two rows
+        # share a key, for every fold bound the sweep picks: at least
+        # 3(k - 1), when each team needs half of the most it can gain.
+        for bound in range(3 * (k - 1), 3 * (k - 1) + 8):
+            assert len(brute.first_row_table(k, bound)) == 6 ** (k - 1), bound
+
+    @pytest.mark.parametrize("k, reach", [(2, 16), (3, 8)])
+    def test_fold_bound_is_met_at_the_edges(self, k, reach):
+        # Every base within reach of the target on each side, so that an
+        # opponent ends exactly the fold bound away from it while the next
+        # digit is one point off: a fold base one smaller counts such
+        # misses as ties.
+        weights = completion_weights(k)
+        target = 20
+        for base in product(range(target - reach, target + reach + 1), repeat=k):
+            want = weights[tuple(target - b for b in base)]
+            assert completions_sweep(base, target) == want, base
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reconstructs_season_count(self, n):
@@ -237,11 +269,13 @@ class TestCompletionSweep:
     @given(data=st.data())
     def test_matches_product_reference(self, k, data):
         # Start from a reachable gain vector and nudge some teams off it, so
-        # both non-zero and zero counts are drawn.
+        # both non-zero and zero counts are drawn, and some bases lie far
+        # from the target, which widens the fold.
         weights = completion_weights(k)
         target = data.draw(st.integers(min_value=0, max_value=30))
         gains = data.draw(st.sampled_from(sorted(weights)))
-        nudges = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 3)), min_size=k, max_size=k))
+        shifts = (0, 0, 0, 1, -1, 3, 20, -20, 40, -40)
+        nudges = data.draw(st.lists(st.sampled_from(shifts), min_size=k, max_size=k))
         base = tuple(target - g + d for g, d in zip(gains, nudges))
         want = weights[tuple(target - b for b in base)]
         assert completions_sweep(base, target) == want

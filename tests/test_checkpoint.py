@@ -133,6 +133,12 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="cannot write"):
             count_tied(4, checkpoint=missing_dir)
 
+    def test_unreadable_path(self, tmp_path):
+        # A directory stands in for any file that cannot be read (running as
+        # root, permission bits would not stop the read).
+        with pytest.raises(CheckpointError, match=f"cannot read checkpoint {tmp_path}"):
+            count_tied(4, checkpoint=tmp_path)
+
     def test_not_a_ledger(self, tmp_path):
         path = tmp_path / "junk.ledger"
         path.write_text("hello world\n")

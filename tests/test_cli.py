@@ -97,6 +97,28 @@ class TestCount:
             assert code == 3
             assert "ceiling is n=5" in err
 
+    def test_checkpoint_unreadable(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "count", "--teams", "5", "--checkpoint", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read checkpoint {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_brute_with_checkpoint_refused_before_any_sweep(self, capsys, monkeypatch, tmp_path):
+        # The sweep keeps no ledger, so the option would be silently lost.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a count started")
+
+        monkeypatch.setattr(brute, "count_tied_block", no_run)
+        path = tmp_path / "x.ledger"
+        code, out, err = run_cli(
+            capsys, "count", "--teams", "3", "--method", "brute", "--checkpoint", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "--method brute keeps no ledger; drop --checkpoint\n"
+        assert not path.exists()
+
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("LEAGUE_TIES_WORKERS", "2")
         code, out, _ = run_cli(capsys, "count", "--teams", "3", "--format", "json")

@@ -106,6 +106,16 @@ class TestDeficitDP:
     def test_matches_recursive_search(self, n):
         assert_dp_matches_recursive_search(n)
 
+    def test_matches_sweep_six_teams(self):
+        # The full completion sweep, free of pruning, on every n = 6 SEARCH
+        # profile: the recursive reference above cuts overshooting branches.
+        memo = {}
+        for p in search_profiles(6):
+            base = tuple(complement(t) for t in p.takes)
+            want = brute.completions_sweep(base, p.taken)
+            assert count_completions(p) == want, p
+            assert count_completions(p, memo=memo) == want, p
+
     @pytest.mark.parametrize(
         "m, top, oracle",
         [
