@@ -225,6 +225,14 @@ def first_row_table(k: int, bound: int) -> dict[int, int]:
     return table
 
 
+def _completion_teams(base: tuple[int, ...], name: str) -> int:
+    """Number of teams in ``base``, refused outside the 1 to 8 both oracles serve."""
+    k = len(base)
+    if not 1 <= k <= 8:
+        raise ValueError(f"completion {name} supports 1 to 8 teams, got {k}")
+    return k
+
+
 def completions_sweep(base: tuple[int, ...], target: int) -> int:
     """Weighted full enumeration over the pair encounters among ``len(base)`` teams.
 
@@ -239,9 +247,7 @@ def completions_sweep(base: tuple[int, ...], target: int) -> int:
     Multiplicities are 1 or 2, so the sweep tallies the assignments that
     tie by their number of doubled codes.
     """
-    k = len(base)
-    if not 1 <= k <= 8:
-        raise ValueError(f"completion sweep supports 1 to 8 teams, got {k}")
+    k = _completion_teams(base, "sweep")
     # A state's needs minus a row's points are each team's final distance
     # from target in the assignment they make, and team i ends on base[i]
     # plus 0..6(k-1) points.  Team 0's need is the last digit: no bound.
@@ -277,9 +283,7 @@ def completions_search(base: tuple[int, ...], target: int) -> int:
     as soon as either side of a freshly assigned code exceeds ``target``
     (points never decrease, so this is sound).
     """
-    k = len(base)
-    if k > 8:
-        raise ValueError(f"completion search supports at most 8 teams, got {k}")
+    k = _completion_teams(base, "search")
     points = list(base)
     if k == 1:
         return 1 if points[0] == target else 0

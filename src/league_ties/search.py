@@ -20,12 +20,17 @@ assignment of up to three pair codes by the points it gives the row owner,
 sorted by the points it gives the opponents.  The same 4-to-6-points check,
 applied to the opponents once the row closes, gives a window for those
 points, so the entries outside it are passed over before any deficit tuple
-is built; the memo and its key are unchanged.  An entry inside the window
-lists the deficits left, sorted, and is dropped when the smallest is
-negative: the deficits kept from earlier in the row are never negative, so
-that sign is the check that each take fits under its opponent's deficit.
-The sorted list is the key, looked up once; a miss is counted and stored
-without a second lookup.
+is built; the memo and its key are unchanged.  Every row of four or more
+teams ends in a tail of three encounters, and nearly all the counting time
+goes there, so that width has its own pass with the three deficits and
+takes unpacked: after the window, an entry is dropped when any take
+exceeds its opponent's deficit, and only then is the key built.  Rows of
+two and three teams end in tails of width 1 and 2; they share one generic
+pass that lists the deficits left, sorted, and drops the entry when the
+smallest is negative.  The deficits kept from earlier in the row are never
+negative, so both passes drop exactly the entries with a take that does not
+fit.  The sorted deficits left are the key, looked up once; a miss is
+counted and stored without a second lookup.
 
 Tail opponents with equal deficits are interchangeable: swapping their codes
 changes none of the owner's points, the opponents' total, the fit of each
@@ -55,7 +60,8 @@ _CODES = tuple(
     (a, b, mult) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
 )
 
-#: Widest row end closed from a table instead of code by code.
+#: Widest row end closed from a table instead of code by code; the hot
+#: tail pass of :func:`_row` is written out for this width.
 _TAIL_WIDTH = 3
 
 #: A tail table: per owner's need, (opponents' total, takes, weight) entries.
@@ -150,23 +156,45 @@ def _row(
 
     The deficits are sorted, so the tail table is the one folded for the
     pattern of equal neighbouring deficits among the tail opponents (see
-    :func:`_tail_tables`).  The window cut comes before any key is built.
-    Inside it, each entry sorts the deficits left and is dropped when the
-    smallest is negative: ``rest`` never holds a negative deficit, so only a
-    take above its tail deficit can leave one.  A key is read from ``memo``
+    :func:`_tail_tables`).  The width-3 pass, which every row of four or
+    more teams ends in, checks each entry in this order: the window on the
+    opponents' total, then each take against its own deficit, then the key,
+    built only for an entry that passes both.  Widths 1 and 2 end only the
+    rows of two- and three-team keys, a few percent of the tail passes, and
+    keep a generic pass: after the window, the entry sorts the deficits left
+    and is dropped when the smallest is negative.  ``rest`` never holds a
+    negative deficit, so only a take above its tail deficit can leave one,
+    and both passes drop the same entries.  A key is read from ``memo``
     once, and a miss goes straight to :func:`_fill`.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
-    if width <= _TAIL_WIDTH:
+    if width == 3:
+        t0, t1, t2 = deficits[j:]
+        get = memo.get
+        total = 0
+        for taken, (k0, k1, k2), mult in _TAILS[3][(t0 == t1) | ((t1 == t2) << 1)][need]:
+            if taken < lo:
+                continue
+            if taken > hi:
+                break
+            # The window already rules out k2 > t2: t2 is the largest
+            # deficit, so the teams left could not reach their 4 points
+            # per encounter.  Testing it keeps the fit check whole.
+            if k0 > t0 or k1 > t1 or k2 > t2:
+                continue
+            left = [*rest, t0 - k0, t1 - k1, t2 - k2]
+            left.sort()
+            key = tuple(left)
+            count = get(key)
+            if count is None:
+                count = _fill(key, memo)
+            total += mult * count
+        return total
+    if width < 3:
         tail = deficits[j:]
-        # Widths above 3 would leave the higher bits clear and only fold less.
-        pattern = 0
-        if width > 1:
-            pattern = tail[0] == tail[1]
-            if width > 2:
-                pattern |= (tail[1] == tail[2]) << 1
+        pattern = width == 2 and tail[0] == tail[1]
         get = memo.get
         total = 0
         for taken, takes, mult in _TAILS[width][pattern][need]:

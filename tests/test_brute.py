@@ -232,6 +232,13 @@ class TestCompletionSweep:
             with pytest.raises(ValueError, match="^completion sweep supports 1 to 8 teams"):
                 completions_sweep(base, 0)
 
+    def test_search_team_count_range(self):
+        # The recursive search refuses the same team counts as the sweep:
+        # an empty base has no first row to search.
+        for base in [(), (0,) * 9]:
+            with pytest.raises(ValueError, match="^completion search supports 1 to 8 teams"):
+                brute.completions_search(base, 0)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_first_row_keys_are_distinct(self, k):
         # One lookup tests every code row of team 0 only if no two rows

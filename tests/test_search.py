@@ -122,15 +122,19 @@ class TestDeficitDP:
             (2, 7, brute.completions_sweep),
             (3, 13, brute.completions_sweep),
             (4, 11, brute.completions_search),
+            (4, 18, brute.completions_sweep),
+            pytest.param(5, 16, brute.completions_search, marks=pytest.mark.long),
         ],
-        ids=["two-sweep", "three-sweep", "four-search"],
+        ids=["two-sweep", "three-sweep", "four-search", "four-sweep", "five-search"],
     )
     def test_every_small_deficit_tuple(self, m, top, oracle):
         # Every sorted tuple of m deficits in 0..top, small and zero ones
-        # included, whose rows close from the tail tables by the sign of
-        # the smallest residual; once per tuple and once through one memo.
+        # included, once per tuple and once through one memo.  From four
+        # teams on, each row ends in the width-3 tail pass, which drops a
+        # take above its deficit before building a key; from five on, that
+        # pass runs behind a walked code, with the kept deficits in the key.
         # A take that overshoots its deficit would still count zero, so the
-        # memo's keys show whether the sign check let one through.
+        # memo's keys show whether the fit check let one through.
         shared = {}
         for deficits in combinations_with_replacement(range(top + 1), m):
             target = max(deficits)
