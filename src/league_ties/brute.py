@@ -34,9 +34,9 @@ target.  It shares no code with the deficit DP of
 profile through n = 6, where the completion sweep stops at n = 5.  The
 package itself never calls it; it serves the test suite.
 
-The season sweep works in aligned blocks of ``3**min(M, 10)`` encodings,
-the unit a pool of workers shares: one block for n <= 3, 9 at n = 4 and
-59 049 at n = 5.  Their per-level counts add up to the season's.
+The season sweep works in aligned blocks of ``3**min(M, 10)`` encodings:
+one block for n <= 3, 9 at n = 4 and 59 049 at n = 5, which workers claim
+256 at a time.  Their per-level counts add up to the season's.
 
 Points come from :mod:`league_ties.scoring` alone: the result and pair
 tables, and the odometer steps, which are the differences between
@@ -46,11 +46,13 @@ All values are exact Python integers, so nothing can overflow.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from contextlib import closing
 from functools import cache, lru_cache, partial
 from itertools import product
 
 from .errors import SizeRefusedError
+from .parallel import shared_results
 from .scoring import (
     PAIR_MULTIPLICITY,
     PAIR_POINTS,
@@ -67,17 +69,6 @@ BRUTE_CEILING = 5
 
 # Most points one side takes from the two matches of a pairing.
 _PAIR_TOP = max(a for a, _ in PAIR_POINTS)
-
-
-def Pool(processes: int):
-    """A ``multiprocessing`` pool of ``processes`` workers.
-
-    Imported on first use, so that the package import and every one-block
-    sweep skip ``multiprocessing``.
-    """
-    import multiprocessing
-
-    return multiprocessing.Pool(processes)
 
 
 # Matches swept inside one block of the season sweep: 3**10 encodings.
@@ -370,7 +361,8 @@ def count_tied_by_level_bruteforce(
     blocks of ``3**10`` encodings (one block of ``3**M`` when ``M < 10``),
     see :func:`count_tied_block`; block counts combine by addition, so any
     ``workers`` count gives the same tally.  A sweep of one block runs
-    in-process, and a pool never starts more workers than there are blocks.
+    in-process; otherwise the workers claim chunks of blocks as the count
+    claims its groups (:func:`league_ties.parallel.shared_results`).
     """
     size = as_league_size(size)
     if size.n > BRUTE_CEILING:
@@ -383,10 +375,16 @@ def count_tied_by_level_bruteforce(
     sweep = partial(count_tied_block, n)
     if workers <= 1 or blocks == 1:
         return _by_level(map(sweep, range(blocks)), n)
-    # An n = 5 block is only 729 odometer states; smaller chunks cost the
-    # pool more than they balance.
-    with Pool(min(workers, blocks)) as pool:
-        return _by_level(pool.imap_unordered(sweep, range(blocks), chunksize=256), n)
+    # An n = 5 block is only 729 odometer states; smaller chunks cost
+    # more in claims and pipe messages than they balance.
+    chunks = [[range(b, min(b + 256, blocks))] for b in range(0, blocks, 256)]
+    with closing(shared_results(chunks, workers, partial(_chunk_ties, sweep))) as results:
+        return _by_level((ties for _, ties in results), n)
+
+
+def _chunk_ties(sweep: Callable, chunk: range) -> tuple[range, tuple[int, ...]]:
+    """A chunk of blocks and the sum of their per-level counts."""
+    return chunk, tuple(map(sum, zip(*map(sweep, chunk))))
 
 
 def _by_level(per_block: Iterable[tuple[int, ...]], n: int) -> dict[int, int]:

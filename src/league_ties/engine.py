@@ -9,8 +9,8 @@ run share a memo of deficit multisets (see :mod:`league_ties.search`).
 A task is one whole SEARCH profile, its result that profile's completion
 count.  With several workers the tasks are grouped by target P (the first
 team's total), whose memo entries mostly serve that P alone: this process
-and its forked children claim whole groups from a shared counter, each
-keeping one memo across the groups it claims.
+and its forked children claim whole groups (:mod:`league_ties.parallel`),
+each keeping one memo across the groups it claims.
 
 A checkpoint ledger (one header line, then one JSON record per finished
 profile) makes long runs resumable: on restart, profiles already on record
@@ -24,13 +24,15 @@ import json
 import os
 import time
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import CheckpointError, LeagueTiesError, SizeRefusedError
 from .eulerian import eulerian_count
+from .parallel import shared_results
 from .profiles import (
     Profile,
     ProfileClass,
@@ -349,7 +351,7 @@ def _run_searches(
     # One deficit memo serves every profile and target this process runs.
     memo: dict[tuple[int, ...], int] = {}
     if workers > 1 and tasks:
-        results = _shared_results(tasks, workers, memo)
+        results = shared_results(_target_groups(tasks), workers, partial(_search_task, memo=memo))
     else:
         results = (_search_task(task, memo) for task in tasks)
     with closing(results):
@@ -373,95 +375,15 @@ def _run_searches(
     return total
 
 
-def _shared_results(
-    tasks: list[_Task], workers: int, memo: dict[tuple[int, ...], int]
-) -> Iterator[_Result]:
-    """Results of every task, computed here and in up to ``workers - 1`` children.
-
-    The tasks are grouped by target P, the central (costliest) targets
-    first.  Each process claims the next whole group from a shared counter
-    until none is left; children send each result up a one-way pipe, which
-    this process drains between its own tasks.  A task whose result never
-    arrived (a child died) is run here once every pipe is closed.  Closing
-    the generator early stops the children.
-    """
-    # Imported here, as ``brute.Pool`` imports its pool: a one-worker run and
-    # the package import load neither multiprocessing nor the ctypes that
-    # ``Value`` needs (a test checks the import).
-    from multiprocessing import Pipe, Process, Value
-    from multiprocessing.connection import wait
-
+def _target_groups(tasks: list[_Task]) -> list[list[_Task]]:
+    """The tasks grouped by target P, the central (costliest) targets first."""
     by_target: dict[int, list[_Task]] = {}
     for takes in tasks:
         by_target.setdefault(sum(takes), []).append(takes)
     # The cost of a target peaks a little above the middle of the SEARCH
     # range 2n - 1..3n - 4 (P = 18 and 19 at n = 8, 16 at n = 7).
     n = len(tasks[0]) + 1
-    order = sorted(by_target, key=lambda p: (abs(2 * p - (5 * n - 3)), p))
-    groups = [by_target[p] for p in order]
-
-    claimed = Value("i", 0)
-    children: list[Process] = []
-    live = []
-    try:
-        for _ in range(min(workers, len(groups)) - 1):
-            reader, writer = Pipe(duplex=False)
-            child = Process(target=_child_searches, args=(groups, claimed, writer), daemon=True)
-            child.start()
-            writer.close()  # the child holds the only writer, so its exit reads as EOF
-            children.append(child)
-            live.append(reader)
-
-        missing = set(tasks)
-
-        def received(timeout: float | None) -> Iterator[_Result]:
-            for reader in wait(live, timeout):
-                try:
-                    result = reader.recv()
-                except EOFError:
-                    live.remove(reader)
-                    reader.close()
-                    continue
-                missing.discard(result[0])
-                yield result
-
-        for group in _claims(groups, claimed):
-            for task in group:
-                missing.discard(task)
-                yield _search_task(task, memo)
-                yield from received(0)
-        while live:
-            yield from received(None)
-        for task in tasks:
-            if task in missing:
-                yield _search_task(task, memo)
-    finally:
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
-        for reader in live:
-            reader.close()
-
-
-def _claims(groups: list[list[_Task]], claimed) -> Iterator[list[_Task]]:
-    """Groups claimed through the shared counter, one at a time, until none is left."""
-    while True:
-        with claimed.get_lock():
-            index = claimed.value
-            claimed.value = index + 1
-        if index >= len(groups):
-            return
-        yield groups[index]
-
-
-def _child_searches(groups: list[list[_Task]], claimed, results) -> None:
-    """Child process: run claimed groups with one memo, sending each result."""
-    memo: dict[tuple[int, ...], int] = {}
-    with results:
-        for group in _claims(groups, claimed):
-            for task in group:
-                results.send(_search_task(task, memo))
+    return [by_target[p] for p in sorted(by_target, key=lambda p: (abs(2 * p - (5 * n - 3)), p))]
 
 
 def resume(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .errors import SizeRefusedError
 
-#: Labeled Eulerian digraphs on n nodes (OEIS A007080).  Entries up to n=5
-#: are re-derived by brute force in the test suite; the larger ones are
-#: exercised through the n >= 6 season totals rather than trusted blindly.
+#: Labeled Eulerian digraphs on n nodes (OEIS A007080).  The test suite
+#: re-derives entries up to n=5 by brute force, and every entry from the
+#: deficit DP's draw-free level P = 3n - 3 (route A), none trusted blindly.
 EULERIAN_COUNTS: dict[int, int] = {
     2: 2,
     3: 10,

@@ -197,11 +197,7 @@ def table_points(table: ScoreTable) -> tuple[int, ...]:
             if cell is None:
                 raise IncompleteTableError(f"missing result for match {h} vs {a}")
             gh, ga = cell
-            if gh > ga:
-                points[h] += 3
-            elif gh < ga:
-                points[a] += 3
-            else:
-                points[h] += 1
-                points[a] += 1
+            home, away = result_points(1 + (gh > ga) - (gh < ga))  # 2, 1 or 0
+            points[h] += home
+            points[a] += away
     return tuple(points)

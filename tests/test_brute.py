@@ -1,7 +1,9 @@
 """Brute-force oracles: encodings, tallies, season and completion sweeps."""
 
+import multiprocessing
+import os
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -97,6 +99,17 @@ class TestTally:
         non_draws = sum(1 for r in results if r != 1)
         assert sum(tally_points(results, size)) == 2 * size.matches + non_draws
 
+#: Tied five-team seasons by level P = 8..12, from the deficit DP (route A).
+TIED_BY_LEVEL_FIVE = {8: 1, 9: 1088, 10: 97304, 11: 189952, 12: 7736}
+
+
+def _dying_block(main_pid, died, n, block):
+    """``count_tied_block``, except that a child process dies on its chunk's block 100."""
+    if os.getpid() != main_pid and block % 256 == 100:
+        died.write_text(str(block))
+        os._exit(1)
+    return count_tied_block(n, block)
+
 
 class TestSeasonSweep:
     def test_published_small_counts(self):
@@ -142,25 +155,32 @@ class TestSeasonSweep:
         with pytest.raises(ValueError):
             count_tied_block(6, 0)  # above BRUTE_CEILING
 
-    def test_one_range_runs_in_process(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("a one-range sweep started a pool")
-
-        monkeypatch.setattr(brute, "Pool", no_pool)
+    def test_one_range_runs_in_process(self, started):
         assert count_tied_bruteforce(2, workers=4) == 3
         assert count_tied_bruteforce(3, workers=4) == 27
+        assert started == []
 
-    def test_pool_no_wider_than_ranges(self, monkeypatch):
-        sizes = []
-        real_pool = brute.Pool
-
-        def recording_pool(processes):
-            sizes.append(processes)
-            return real_pool(processes)
-
-        monkeypatch.setattr(brute, "Pool", recording_pool)
+    def test_pool_no_wider_than_ranges(self, monkeypatch, started):
+        # n = 4 has 9 blocks, one chunk (range), which the caller sweeps alone.
         assert count_tied_bruteforce(4, workers=16) == 1083
-        assert sizes == [9]
+        assert started == []
+        # 600 blocks make three chunks of at most 256: the caller and two
+        # children claim them, and each block is swept once.
+        monkeypatch.setattr(brute, "_season_blocks", lambda n: 600)
+        monkeypatch.setattr(brute, "count_tied_block", lambda n, block: (1, block, 0, 0))
+        by_level = brute.count_tied_by_level_bruteforce(4, workers=16)
+        assert by_level == {6: 600, 7: sum(range(600)), 8: 0, 9: 0}
+        assert len(started) == 2
+
+    @pytest.mark.long
+    def test_season_sweep_survives_killed_worker(self, monkeypatch, tmp_path, deadline):
+        # A child that dies mid-chunk loses none of its blocks: the caller
+        # sweeps whatever it claimed but never sent, and nothing hangs.
+        died = tmp_path / "died"
+        monkeypatch.setattr(brute, "count_tied_block", partial(_dying_block, os.getpid(), died))
+        assert brute.count_tied_by_level_bruteforce(5, workers=2) == TIED_BY_LEVEL_FIVE
+        assert died.exists()
+        assert multiprocessing.active_children() == []
 
     def test_home_away_flip_symmetry(self):
         # Swapping home and away in every match permutes outcomes and must

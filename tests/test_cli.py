@@ -329,7 +329,7 @@ class TestVersion:
 class TestImport:
     @pytest.mark.parametrize("module", ["league_ties", "league_ties.cli"])
     def test_import_skips_multiprocessing(self, module):
-        # Pools import multiprocessing, and shared counters ctypes, on start.
+        # The scheduler imports multiprocessing, and its shared counter ctypes, on start.
         code = (
             f"import sys, {module}; "
             "print(sorted({'multiprocessing', 'ctypes'} & set(sys.modules)))"

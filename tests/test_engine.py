@@ -2,7 +2,6 @@
 
 import multiprocessing
 import os
-import signal
 import time
 
 import pytest
@@ -137,7 +136,7 @@ class TestScheduling:
         assert len(pids) == 2
         assert pids[1] == str(os.getpid())
 
-    def test_killed_child_costs_no_result(self, monkeypatch, tmp_path):
+    def test_killed_child_costs_no_result(self, monkeypatch, tmp_path, deadline):
         # A child that dies mid-group takes none of its claimed tasks with
         # it: they are run here once its pipe closes, and the run neither
         # hangs nor returns a short total.
@@ -152,32 +151,15 @@ class TestScheduling:
             time.sleep(0.01)  # leave the child time to claim a group
             return count_completions(profile, **kwargs)
 
-        def hung(signum, frame):
-            raise TimeoutError("count_tied hung after a child died")
-
         monkeypatch.setattr(engine, "count_completions", dying)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        assert count_tied(5, workers=2).total == KNOWN_TOTALS[5]
         assert died.exists()
         assert multiprocessing.active_children() == []
 
-    def test_no_more_processes_than_target_groups(self, monkeypatch):
+    def test_no_more_processes_than_target_groups(self, started):
         targets = {
             p.taken for p in iter_profiles(5) if classify_profile(p) is ProfileClass.SEARCH
         }
-        started = []
-        start = multiprocessing.process.BaseProcess.start
-
-        def counting_start(self):
-            started.append(self)
-            start(self)
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
         assert count_tied(5, workers=16).total == KNOWN_TOTALS[5]
         assert len(started) == len(targets) - 1
 
@@ -205,10 +187,10 @@ class TestScheduling:
 
     def test_missing_results_abort(self, monkeypatch):
         # A scheduler that loses results must not return a short total.
-        def nothing(tasks, workers, memo):
+        def nothing(groups, workers, run):
             yield from ()
 
-        monkeypatch.setattr(engine, "_shared_results", nothing)
+        monkeypatch.setattr(engine, "shared_results", nothing)
         with pytest.raises(LeagueTiesError, match="no search result for 19 of 19"):
             count_tied(5, workers=2)
 
