@@ -1,9 +1,13 @@
 """The completion counter against its oracles."""
 
 import gc
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from league_ties.search import (
     _TAIL_WIDTH,
     _TAILS,
     _solve,
+    _tails4,
     count_completions,
     split_prefixes,
 )
@@ -123,18 +128,23 @@ class TestDeficitDP:
             (3, 13, brute.completions_sweep),
             (4, 11, brute.completions_search),
             (4, 18, brute.completions_sweep),
+            (5, 10, brute.completions_search),
             pytest.param(5, 16, brute.completions_search, marks=pytest.mark.long),
         ],
-        ids=["two-sweep", "three-sweep", "four-search", "four-sweep", "five-search"],
+        ids=[
+            "two-sweep", "three-sweep", "four-search", "four-sweep",
+            "five-small-search", "five-search",
+        ],
     )
     def test_every_small_deficit_tuple(self, m, top, oracle):
         # Every sorted tuple of m deficits in 0..top, small and zero ones
-        # included, once per tuple and once through one memo.  From four
-        # teams on, each row ends in the width-3 tail pass, which drops a
-        # take above its deficit before building a key; from five on, that
-        # pass runs behind a walked code, with the kept deficits in the key.
-        # A take that overshoots its deficit would still count zero, so the
-        # memo's keys show whether the fit check let one through.
+        # included, once per tuple and once through one memo.  The first
+        # row of a four-team key ends in the width-3 tail pass and that of
+        # a five-team key in the width-4 pass; each drops a take above its
+        # deficit before building a key.  The rows of the smaller keys a
+        # five-team row reaches end in the width-3 and generic passes.  A
+        # take that overshoots its deficit would still count zero, so the
+        # memo's keys show whether a fit check let one through.
         shared = {}
         for deficits in combinations_with_replacement(range(top + 1), m):
             target = max(deficits)
@@ -184,12 +194,29 @@ class TestDeficitDP:
             gc.enable()
 
 
+def tail_tables(width):
+    """The tail tables of ``width`` as (taken, takes, weight) entries.
+
+    Width 4 comes from its first-use builder, which stores each entry flat
+    as (taken, k0, k1, k2, k3, weight).
+    """
+    if width < _TAIL_WIDTH:
+        return _TAILS[width]
+    tables = _tails4()
+    assert {len(e) for by_pattern in tables for by_need in by_pattern for e in by_need} == {6}
+    return tuple(
+        tuple(tuple((e[0], e[1:-1], e[-1]) for e in by_need) for by_need in by_pattern)
+        for by_pattern in tables
+    )
+
+
 class TestTailTables:
     @pytest.mark.parametrize("width", range(_TAIL_WIDTH + 1))
     def test_every_assignment_once(self, width):
         # Pattern 0 is the reference the folded tables are checked against:
         # every ordered assignment once, weighted by its codes' multiplicities.
-        entries = [e for by_need in _TAILS[width][0] for e in by_need]
+        full = tail_tables(width)[0]
+        entries = [e for by_need in full for e in by_need]
         assert len(entries) == 6**width
         assert sum(mult for _, _, mult in entries) == 9**width
         all_takes = [takes for _, takes, _ in entries]
@@ -197,7 +224,7 @@ class TestTailTables:
         assert set(all_takes) == set(product(TAKE_VALUES, repeat=width))
         owner_points = {b: a for a, b, _ in _CODES}
         multiplicity = {b: mult for _, b, mult in _CODES}
-        for need, by_need in enumerate(_TAILS[width][0]):
+        for need, by_need in enumerate(full):
             for taken, takes, mult in by_need:
                 assert sum(owner_points[b] for b in takes) == need
                 assert sum(takes) == taken
@@ -214,12 +241,13 @@ class TestTailTables:
         # equal deficits.  Every ordering of a folded entry's takes within its
         # runs is one entry of pattern 0, each met exactly once, and the folded
         # weight is the sum of theirs.
-        assert len(_TAILS[width]) == 1 << max(width - 1, 0)
+        tables = tail_tables(width)
+        assert len(tables) == 1 << max(width - 1, 0)
         starts = [0] + [i + 1 for i in range(width - 1) if not pattern >> i & 1]
         runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [width])]
         owner_points = {b: a for a, b, _ in _CODES}
-        for need, by_need in enumerate(_TAILS[width][pattern]):
-            full = {takes: mult for _, takes, mult in _TAILS[width][0][need]}
+        for need, by_need in enumerate(tables[pattern]):
+            full = {takes: mult for _, takes, mult in tables[0][need]}
             expanded = []
             for taken, takes, weight in by_need:
                 assert sum(owner_points[b] for b in takes) == need
@@ -233,6 +261,27 @@ class TestTailTables:
             assert sorted(expanded) == sorted(full)
             totals = [taken for taken, _, _ in by_need]
             assert totals == sorted(totals)
+
+    def test_width_four_is_built_on_first_use(self):
+        # Neither the import nor a count whose keys have four teams or fewer
+        # builds the width-4 table; the first five-team key does.
+        code = (
+            "from league_ties import count_tied, search\n"
+            "built = [search._TAILS4 is not None]\n"
+            "count_tied(5)\n"
+            "built.append(search._TAILS4 is not None)\n"
+            "count_tied(6)\n"
+            "built.append(search._TAILS4 is not None)\n"
+            "print(built)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[False, False, True]\n"
 
 
 def fixed_point_free_slice(n):
@@ -253,7 +302,12 @@ def fixed_point_free_slice(n):
 
 
 #: Deficit tuples with runs of equal values at the start, middle or end,
-#: and with every value equal, for 2 to 5 teams; some count zero.
+#: and with every value equal, for 2 to 6 teams; some count zero.  The
+#: first row of a six-team key walks one code and closes its last four
+#: encounters from the width-4 table, so the six-team tuples put equal runs
+#: across that boundary and inside the tail.  (6, 6, 6, 14, 14, 14) counts
+#: zero from its sum before any row: 60 points over 15 pairs means every
+#: pair drew both legs, which leaves every team 10.
 REPEATED_DEFICITS = [
     (2, 2), (3, 3), (6, 6),
     (5, 5, 5), (6, 6, 6), (3, 3, 8), (5, 5, 8), (2, 6, 6), (4, 7, 7),
@@ -262,6 +316,9 @@ REPEATED_DEFICITS = [
     (8, 8, 8, 8, 8), (9, 9, 9, 9, 9), (12, 12, 12, 12, 12),
     (10, 10, 10, 10, 12), (7, 7, 9, 9, 10), (8, 9, 9, 9, 10),
     (0, 11, 11, 11, 22), (6, 10, 10, 10, 10), (0, 6, 17, 17, 17),
+    (9, 9, 12, 12, 12, 15), (6, 6, 6, 14, 14, 14), (9, 9, 9, 12, 12, 13),
+    pytest.param((12,) * 6, marks=pytest.mark.long, id="all-12-six-teams"),
+    pytest.param((15,) * 6, marks=pytest.mark.long, id="all-15-six-teams"),
 ]
 
 
@@ -277,8 +334,9 @@ class TestRepeatedDeficits:
         )
 
     def test_some_counts_are_nonzero(self):
-        for m in range(2, 6):
-            cases = [d for d in REPEATED_DEFICITS if len(d) == m]
+        for m in range(2, 7):
+            # The long cases are pytest.param entries, not tuples.
+            cases = [d for d in REPEATED_DEFICITS if isinstance(d, tuple) and len(d) == m]
             assert any(_solve(d, {}) for d in cases), m
             assert not all(_solve(d, {}) for d in cases), m
 
