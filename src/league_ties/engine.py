@@ -43,7 +43,7 @@ from .profiles import (
 )
 from .scoring import LeagueSize, as_league_size
 # split_prefixes is unused here: perfbench/tracer.py wraps it; ROADMAP item 1 deletes both.
-from .search import count_completions, split_prefixes
+from .search import _tails4, count_completions, split_prefixes
 
 ENGINE_VERSION = "0.1.0"
 
@@ -245,7 +245,7 @@ _Task = tuple[int, ...]  # the takes of one SEARCH profile
 _Result = tuple[tuple[int, ...], int | None, str | None]  # (takes, count, error)
 
 
-def _search_task(takes: _Task, memo: dict[tuple[int, ...], int]) -> _Result:
+def _search_task(takes: _Task, memo: dict[int, int]) -> _Result:
     try:
         return takes, count_completions(Profile(takes), memo=memo), None
     except Exception as exc:  # report back; the scheduler retries in-process
@@ -349,8 +349,12 @@ def _run_searches(
     tasks: list[_Task] = [takes for takes in weights if takes not in recorded]
 
     # One deficit memo serves every profile and target this process runs.
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[int, int] = {}
     if workers > 1 and tasks:
+        if len(tasks[0]) >= 5:
+            # Keys of five or more teams close from the width-4 tail table:
+            # build it once here, so that the forked children share it.
+            _tails4()
         results = shared_results(_target_groups(tasks), workers, partial(_search_task, memo=memo))
     else:
         results = (_search_task(task, memo) for task in tasks)

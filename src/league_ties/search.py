@@ -4,8 +4,8 @@ Once the first team's takes are fixed, every opponent starts on the
 complementary points and all matches among teams 2..n remain open.  The
 count depends only on how many points each open team still needs, its
 *deficit*, and not on which team is which or on the target itself.  So a
-profile is counted as the sorted tuple of its opponents' deficits, by a row
-DP keyed on that tuple: it enumerates the row of the team with the smallest
+profile is counted as the multiset of its opponents' deficits, by a row DP
+keyed on that multiset: it enumerates the row of the team with the smallest
 deficit, closes it, and recurses on the re-sorted deficits of the rest.
 That key is the one the first row of the level target ``(P,) * n`` reaches
 through the profile's takes, so the profile layer is that first row.  A
@@ -14,24 +14,33 @@ to 6 points each) counts zero without search.  One memo can serve every
 profile and every target of a league, because the key names no target.
 Branch weights double for every code with two home/away realisations.
 
+The memo maps a multiset's *code*, ``sum(_POW[d] for d in deficits)`` with
+``_POW[d] = 1 << 4 * d``, to its count: each deficit value owns a 4-bit
+count of the teams that need it.  A row builds each key it reaches by
+addition, and sorts the deficits only on a miss, to open the next row.  The
+code names the multiset exactly while no value repeats 16 times, so
+:func:`_solve` refuses a key of more than 15 teams; it returns 0 for a
+deficit below 0 or above 6(m - 1), which no team can meet, so every index
+into ``_POW`` is in 0..84 and none wraps from the end.  Keys of three teams
+or fewer are never stored: ``_SMALL`` gives, by code, the count of each of
+the 46 such keys that has one, built at import from the pair codes.
+
 The last four encounters of a row are not enumerated code by code: they
 are read from tail tables, which list every assignment of up to four pair
 codes by the points it gives the row owner, sorted by the points it gives
 the opponents.  The same 4-to-6-points check, applied to the opponents once
 the row closes, gives a window for those points, so the entries outside it
-are passed over before any deficit tuple is built; the memo and its key are
+are passed over before any key is built; the memo and its key are
 unchanged.  Every row of a key with five or more teams ends in a tail of
 four encounters, and nearly all the counting time goes there, so that width
 has its own pass with the four deficits and takes unpacked: after the
 window, an entry is dropped when any take exceeds its opponent's deficit,
-and only then is the key built.  The rows of four-team keys end in a tail
-of three, which has a pass of the same shape.  Rows of two and three teams
-end in tails of width 1 and 2; they share one generic pass that lists the
-deficits left, sorted, and drops the entry when the smallest is negative.
-The deficits kept from earlier in the row are never negative, so every pass
-drops exactly the entries with a take that does not fit.  The sorted
-deficits left are the key, looked up once; a miss is counted and stored
-without a second lookup.
+and only then is the key's code added up and looked up once; a miss is
+counted and stored without a second lookup.  The rows of four-team keys end
+in a tail of three, which has a pass of the same shape and reads the three
+teams left from ``_SMALL``.  The deficits kept from earlier in the row are
+never negative, so every pass drops exactly the entries with a take that
+does not fit, and no code it builds has a negative index.
 
 The tables of widths 0 to 3 are built at import.  The width-4 table, about
 nine times larger (4 803 entries), is built from the width-3 one by the
@@ -43,8 +52,8 @@ is one tuple.
 
 Tail opponents with equal deficits are interchangeable: swapping their codes
 changes none of the owner's points, the opponents' total, the fit of each
-take under its deficit or the sorted deficits left.  So each tail table is
-kept once per pattern of equal neighbouring deficits, and within each run of
+take under its deficit or the deficits left.  So each tail table is kept
+once per pattern of equal neighbouring deficits, and within each run of
 equal deficits it lists one ordering per multiset of codes.  The tables are
 built by adding one code at a time and merging the orderings that sort to
 the same entry, so each weight is the sum of the weights of the orderings it
@@ -57,7 +66,8 @@ a plain recursive row search that shares no code with it.
 
 from __future__ import annotations
 
-from operator import sub
+from collections.abc import Sequence
+from itertools import combinations, product
 
 from .profiles import Profile
 from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
@@ -67,6 +77,41 @@ from .scoring import PAIR_MULTIPLICITY, PAIR_POINTS, complement
 _CODES = tuple(
     (a, b, mult) for (a, b), mult in zip(PAIR_POINTS, PAIR_MULTIPLICITY)
 )
+
+#: Most teams a memo key may have: the code keeps 4 bits per deficit value.
+_KEY_TEAMS_MAX = 15
+
+#: ``_POW[d]`` is what one deficit ``d`` adds to a key's code, for every
+#: deficit a key of ``_KEY_TEAMS_MAX`` teams can meet.
+_POW = tuple(1 << 4 * d for d in range(6 * (_KEY_TEAMS_MAX - 1) + 1))
+
+
+def _small_counts() -> dict[int, int]:
+    """Count of every key of three teams or fewer, by code, where it is not 0.
+
+    Each assignment of a pair code to every pair of ``m`` teams is counted
+    under the key of the points it gives them, and only when those points
+    are sorted: that is the one labelling the key's count is defined by.
+    """
+    counts: dict[int, int] = {}
+    for m in range(4):
+        pairs = list(combinations(range(m), 2))
+        for codes in product(_CODES, repeat=len(pairs)):
+            points = [0] * m
+            weight = 1
+            for (i, j), (a, b, mult) in zip(pairs, codes):
+                points[i] += a
+                points[j] += b
+                weight *= mult
+            if points == sorted(points):
+                code = sum(_POW[d] for d in points)
+                counts[code] = counts.get(code, 0) + weight
+    return counts
+
+
+#: The count of each of the 46 keys of at most three teams that has one:
+#: ``()`` and ``(0,)``, 4 of two teams and 40 of three, by code.
+_SMALL = _small_counts()
 
 #: Widest row end closed from a table instead of code by code; the tail
 #: passes of :func:`_row` for this width and the one below are written out.
@@ -156,64 +201,63 @@ def _tails4() -> tuple[_FlatTable, ...]:
 def count_completions(
     profile: Profile,
     *,
-    memo: dict[tuple[int, ...], int] | None = None,
+    memo: dict[int, int] | None = None,
 ) -> int:
     """Weighted number of tied completions of one whole profile.
 
     Matches the full-sweep oracle on every input.  The profile is counted
-    as the sorted tuple of its opponents' deficits, the key that the first
-    row of ``(P,) * n`` reaches through these takes.  ``memo`` maps sorted
-    deficit tuples to their completion counts; pass one dict to every call
-    of a league to share it across profiles and targets (by default each
-    call starts empty).
+    as the multiset of its opponents' deficits, the key that the first row
+    of ``(P,) * n`` reaches through these takes.  ``memo`` maps the codes
+    of deficit multisets of four teams or more (see the module docstring)
+    to their completion counts; pass one dict to every call of a league to
+    share it across profiles and targets (by default each call starts
+    empty).
     """
     # Each opponent starts on the complement of what the first team took
     # from it, and must end on the first team's total.
     taken = profile.taken
-    deficits = tuple(sorted([taken - complement(t) for t in profile.takes]))
-    # A negative need would index the tail tables from the end.
-    if deficits[0] < 0:
-        return 0
+    deficits = sorted([taken - complement(t) for t in profile.takes])
     return _solve(deficits, {} if memo is None else memo)
 
 
 def _row(
-    deficits: tuple[int, ...],
+    deficits: Sequence[int],
     j: int,
     need: int,
     rest: list[int],
+    code: int,
     lo: int,
     hi: int,
-    memo: dict[tuple[int, ...], int],
+    memo: dict[int, int],
 ) -> int:
     """Completions of the open row of ``deficits[0]`` from opponent ``j`` on.
 
     ``need`` is what the row owner still needs from opponents ``j..``, and
     ``rest`` holds the deficits that opponents ``1..j-1`` keep once the row
-    closes.  The opponents ``j..`` must take between ``lo`` and ``hi``
-    points from the row in total.  The last ``_TAIL_WIDTH`` encounters are
-    closed in one pass over their tail table.  Deliberately a module-level
-    function: a nested recursive closure would leave a reference cycle
-    behind on every call.
+    closes, ``code`` their code.  The opponents ``j..`` must take between
+    ``lo`` and ``hi`` points from the row in total.  The last
+    ``_TAIL_WIDTH`` encounters are closed in one pass over their tail table.
+    Deliberately a module-level function: a nested recursive closure would
+    leave a reference cycle behind on every call.
 
     The deficits are sorted, so the tail table is the one folded for the
     pattern of equal neighbouring deficits among the tail opponents (see
     :func:`_extend`).  The width-4 pass, which every row of five or more
     teams ends in, checks each entry in this order: the window on the
-    opponents' total, then each take against its own deficit, then the key,
-    built only for an entry that passes both.  Its table is built by
-    :func:`_tails4` when the pass first runs.  The width-3 pass, which ends
-    the rows of four-team keys, does the same over ``_TAILS[3]``.  Widths 1
-    and 2 end only the rows of two- and three-team keys, a few percent of
-    the tail passes, and keep a generic pass: after the window, the entry
-    sorts the deficits left and is dropped when the smallest is negative.
-    ``rest`` never holds a negative deficit, so only a take above its tail
-    deficit can leave one, and every pass drops the same entries.  A key is
-    read from ``memo`` once, and a miss goes straight to :func:`_fill`.
+    opponents' total, then each take against its own deficit, then the
+    key's code, added up only for an entry that passes both.  Its table is
+    built by :func:`_tails4` when the pass first runs.  A key is read from
+    ``memo`` once, and only a miss sorts the deficits left, for
+    :func:`_fill`.  The width-3 pass ends only the rows of four-team keys,
+    where ``rest`` is empty; it checks its entries the same way and reads
+    the count of the three teams left from ``_SMALL``.  ``rest`` never holds
+    a negative deficit, so only a take above its tail deficit can leave
+    one, and both passes drop exactly those entries.
     """
     width = len(deficits) - j
     if need > 6 * width:
         return 0
+    pw = _POW
     if width == 4:
         t0, t1, t2, t3 = deficits[j:]
         pattern = (t0 == t1) | ((t1 == t2) << 1) | ((t2 == t3) << 2)
@@ -229,17 +273,16 @@ def _row(
             # per encounter.  Testing it keeps the fit check whole.
             if k0 > t0 or k1 > t1 or k2 > t2 or k3 > t3:
                 continue
-            left = [*rest, t0 - k0, t1 - k1, t2 - k2, t3 - k3]
-            left.sort()
-            key = tuple(left)
+            key = code + pw[t0 - k0] + pw[t1 - k1] + pw[t2 - k2] + pw[t3 - k3]
             count = get(key)
             if count is None:
-                count = _fill(key, memo)
+                left = sorted((*rest, t0 - k0, t1 - k1, t2 - k2, t3 - k3))
+                count = _fill(left, key, memo)
             total += mult * count
         return total
     if width == 3:
         t0, t1, t2 = deficits[j:]
-        get = memo.get
+        small = _SMALL
         total = 0
         for taken, (k0, k1, k2), mult in _TAILS[3][(t0 == t1) | ((t1 == t2) << 1)][need]:
             if taken < lo:
@@ -249,33 +292,7 @@ def _row(
             # As above, the window already rules out k2 > t2.
             if k0 > t0 or k1 > t1 or k2 > t2:
                 continue
-            left = [*rest, t0 - k0, t1 - k1, t2 - k2]
-            left.sort()
-            key = tuple(left)
-            count = get(key)
-            if count is None:
-                count = _fill(key, memo)
-            total += mult * count
-        return total
-    if width < 3:
-        tail = deficits[j:]
-        pattern = width == 2 and tail[0] == tail[1]
-        get = memo.get
-        total = 0
-        for taken, takes, mult in _TAILS[width][pattern][need]:
-            if taken < lo:
-                continue
-            if taken > hi:
-                break
-            left = [*rest, *map(sub, tail, takes)]
-            left.sort()
-            if left[0] < 0:
-                continue
-            key = tuple(left)
-            count = get(key)
-            if count is None:
-                count = _fill(key, memo)
-            total += mult * count
+            total += mult * small.get(pw[t0 - k0] + pw[t1 - k1] + pw[t2 - k2], 0)
         return total
     dj = deficits[j]
     total = 0
@@ -284,45 +301,56 @@ def _row(
             break
         if b <= dj:
             rest.append(dj - b)
-            total += mult * _row(deficits, j + 1, need - a, rest, lo - b, hi - b, memo)
+            total += mult * _row(
+                deficits, j + 1, need - a, rest, code + pw[dj - b], lo - b, hi - b, memo
+            )
             rest.pop()
     return total
 
 
-def _solve(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+def _solve(deficits: Sequence[int], memo: dict[int, int]) -> int:
     """Weighted ways for teams with these (sorted) deficits to meet them exactly.
 
-    For direct calls: one lookup, then the check that the open encounters
-    can hand out the deficits' sum.  The tail pass of :func:`_row` does not
-    come here, because its window cut is that check.
+    For direct calls: the guards that keep the key's code exact, then a key
+    of three teams or fewer is read from ``_SMALL`` and a larger one from
+    ``memo``, and a miss is checked for a sum the open encounters can hand
+    out.  The tail passes of :func:`_row` do not come here, because their
+    window cut is that check.  ``memo`` maps codes of four teams or more to
+    counts.  Raises ``ValueError`` for more than 15 teams.
     """
-    total = memo.get(deficits)
+    m = len(deficits)
+    if m > _KEY_TEAMS_MAX:
+        raise ValueError(f"a memo key holds at most {_KEY_TEAMS_MAX} teams, got {m}")
+    # A deficit outside 0..6(m - 1) is never met, and its _POW index could
+    # wrap or overflow.
+    if m and (min(deficits) < 0 or max(deficits) > 6 * (m - 1)):
+        return 0
+    code = sum([_POW[d] for d in deficits])
+    if m < 4:
+        return _SMALL.get(code, 0)
+    total = memo.get(code)
     if total is None:
-        m = len(deficits)
         pairs = m * (m - 1) // 2
         if not 4 * pairs <= sum(deficits) <= 6 * pairs:
             return 0
-        total = _fill(deficits, memo)
+        total = _fill(deficits, code, memo)
     return total
 
 
-def _fill(deficits: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
-    """Count sorted deficits missing from ``memo``, and store the count.
+def _fill(deficits: Sequence[int], code: int, memo: dict[int, int]) -> int:
+    """Count four or more sorted deficits missing from ``memo``, and store the count.
 
-    The caller has checked that the open encounters can hand out the
-    deficits' sum.  Fewer than two teams have no row and are not stored:
-    that check leaves them only ``()`` and ``(0,)``, each met one way.
+    ``code`` is their key.  The caller has checked that the open encounters
+    can hand out the deficits' sum.
     """
-    if len(deficits) < 2:
-        return 1
     # Once the first row closes, the other teams must meet what is left of
     # their deficits among themselves, 4 to 6 points per encounter: bounds
     # on what they may take from that row in total.
     m = len(deficits) - 1
     pairs = m * (m - 1) // 2
     owed = sum(deficits) - deficits[0]
-    total = memo[deficits] = _row(
-        deficits, 1, deficits[0], [], owed - 6 * pairs, owed - 4 * pairs, memo
+    total = memo[code] = _row(
+        deficits, 1, deficits[0], [], 0, owed - 6 * pairs, owed - 4 * pairs, memo
     )
     return total
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from league_ties import engine
+from league_ties import engine, search
 from league_ties.engine import KNOWN_TOTALS, count_tied
 from league_ties.errors import LeagueTiesError, SizeRefusedError
 from league_ties.eulerian import eulerian_count
@@ -193,6 +193,23 @@ class TestScheduling:
         monkeypatch.setattr(engine, "shared_results", nothing)
         with pytest.raises(LeagueTiesError, match="no search result for 19 of 19"):
             count_tied(5, workers=2)
+
+    @pytest.mark.parametrize("n, built", [(5, False), (6, True)])
+    def test_width_four_table_is_built_before_the_fork(self, monkeypatch, n, built):
+        # Children fork when the scheduler starts, so a table the caller
+        # builds first is one they share instead of each building its own.
+        # Only keys of five or more teams (n >= 6) ever read it.
+        seen = []
+
+        def nothing(groups, workers, run):
+            seen.append(search._TAILS4 is not None)
+            yield from ()
+
+        monkeypatch.setattr(search, "_TAILS4", None)
+        monkeypatch.setattr(engine, "shared_results", nothing)
+        with pytest.raises(LeagueTiesError, match="no search result"):
+            count_tied(n, workers=2)
+        assert seen == [built]
 
 
 class TestGuards:

@@ -29,6 +29,8 @@ from league_ties.profiles import (
 from league_ties.scoring import TAKE_VALUES, complement
 from league_ties.search import (
     _CODES,
+    _POW,
+    _SMALL,
     _TAIL_WIDTH,
     _TAILS,
     _solve,
@@ -81,6 +83,22 @@ class TestCountCompletions:
                     * count_completions(p)
                 )
         assert total == eulerian_count_bruteforce(4) == 152
+
+
+def encode(deficits):
+    """The memo code of a deficit multiset: 4 bits per deficit value."""
+    return sum(_POW[d] for d in deficits)
+
+
+def decode(code):
+    """The sorted deficits of a memo code."""
+    deficits = []
+    value = 0
+    while code:
+        deficits += [value] * (code & 15)
+        code >>= 4
+        value += 1
+    return tuple(deficits)
 
 
 def search_profiles(n):
@@ -138,21 +156,26 @@ class TestDeficitDP:
     )
     def test_every_small_deficit_tuple(self, m, top, oracle):
         # Every sorted tuple of m deficits in 0..top, small and zero ones
-        # included, once per tuple and once through one memo.  The first
+        # included, once per tuple and once through one memo.  Two- and
+        # three-team keys are read from _SMALL and never stored.  The first
         # row of a four-team key ends in the width-3 tail pass and that of
         # a five-team key in the width-4 pass; each drops a take above its
-        # deficit before building a key.  The rows of the smaller keys a
-        # five-team row reaches end in the width-3 and generic passes.  A
-        # take that overshoots its deficit would still count zero, so the
-        # memo's keys show whether a fit check let one through.
+        # deficit before building a key, and the four-team keys a five-team
+        # row reaches end in the width-3 pass.  A take that overshoots its
+        # deficit would still count zero, so the memo's keys show whether a
+        # fit check let one through: its negative _POW index would wrap to
+        # a deficit far above top.
         shared = {}
         for deficits in combinations_with_replacement(range(top + 1), m):
             target = max(deficits)
             want = oracle(tuple(target - d for d in deficits), target)
             assert _solve(deficits, {}) == want, deficits
             assert _solve(deficits, shared) == want, deficits
-        assert shared
-        assert all(key[0] >= 0 for key in shared)
+        if m <= 3:
+            assert not shared
+        else:
+            assert shared
+            assert all(0 <= d <= top for key in shared for d in decode(key))
 
     @pytest.mark.long
     def test_matches_recursive_search_seven_teams(self):
@@ -340,15 +363,67 @@ class TestRepeatedDeficits:
             assert any(_solve(d, {}) for d in cases), m
             assert not all(_solve(d, {}) for d in cases), m
 
-    @pytest.mark.parametrize("n, size", [(6, 655), (7, 4116)])
+    @pytest.mark.parametrize("n, size", [(6, 481), (7, 3916)])
     def test_shared_memo_size(self, n, size):
         # One shared-memo pass over the SEARCH profiles stores each profile's
-        # own sorted deficits and every key its rows reach.  The fold skips
-        # lookups, never keys: the unfolded tables leave the same memo.
+        # own deficits and every key of four teams or more its rows reach.
+        # The fold skips lookups, never keys: the unfolded tables leave the
+        # same memo.  The 174 (n = 6) and 200 (n = 7) keys of two and three
+        # teams are read from _SMALL instead.
         memo = {}
         for p in search_profiles(n):
             count_completions(p, memo=memo)
         assert len(memo) == size
+        assert all(len(decode(key)) >= 4 for key in memo)
+
+
+class TestMemoCodes:
+    """The memo's int keys name deficit multisets exactly, within their guards."""
+
+    def test_codes_are_distinct_and_decode(self):
+        seen = {}
+        for m in range(5):
+            for deficits in combinations_with_replacement(range(19), m):
+                code = encode(deficits)
+                assert seen.setdefault(code, deficits) == deficits
+                assert decode(code) == deficits
+
+    def test_small_keys_match_the_sweep(self):
+        # Every key of three teams or fewer with a nonzero count, checked by
+        # the sweep; the sweep needs a team, and no team is met one way.
+        assert len(_SMALL) == 46
+        sizes = [len(decode(code)) for code in _SMALL]
+        assert [sizes.count(m) for m in range(4)] == [1, 1, 4, 40]
+        assert _SMALL[encode(())] == 1
+        for code, count in _SMALL.items():
+            deficits = decode(code)
+            if deficits:
+                target = max(deficits)
+                base = tuple(target - d for d in deficits)
+                assert count == brute.completions_sweep(base, target), deficits
+
+    def test_more_teams_than_a_code_holds(self):
+        assert _solve((0,) * 15, {}) == 0
+        with pytest.raises(ValueError, match="at most 15 teams"):
+            _solve((0,) * 16, {})
+
+    @pytest.mark.parametrize(
+        "deficits",
+        # Above 6(m - 1), then below 0; -81 would wrap to the index of 4,
+        # and (4, 4, 4) counts 1.
+        [(0, 0, 0, 19), (0, 0, 0, 100), (-1, 2, 2, 9), (-81, 4, 4)],
+        ids=str,
+    )
+    def test_unmeetable_deficits_count_zero(self, deficits):
+        assert _solve(deficits, {}) == 0
+
+    @pytest.mark.long
+    def test_nine_team_slice_and_eight_team_memo(self):
+        # The widest codes any test builds: nine teams, deficits up to 48.
+        assert _solve((19,) * 9, {}) == 140_771_973_870_352_448_512
+        memo = {}
+        assert sum(_solve((p,) * 8, memo) for p in range(14, 22)) == KNOWN_TOTALS[8]
+        assert len(memo) == 24_229
 
 
 class TestClosedFormSlices:
@@ -462,10 +537,11 @@ class TestPerLevel:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_profile_keys_are_the_first_row_of_each_level(self, n):
-        # A profile's key is the sorted deficits its takes leave the other
-        # teams, which is where the first row of (P,) * n lands.  Once every
+        # A profile's key is the deficits its takes leave the other teams,
+        # which is where the first row of (P,) * n lands.  Once every
         # profile has been counted into one memo, route A finds each key
         # below its targets there and adds only the targets themselves.
+        # For n <= 3 both routes read every key from _SMALL.
         memo = {}
         for p in iter_profiles(n):
             count_completions(p, memo=memo)
@@ -473,7 +549,8 @@ class TestPerLevel:
         levels = range(2 * n - 2, 3 * n - 2)
         for level in levels:
             _solve((level,) * n, memo)
-        assert set(memo) - before == {(level,) * n for level in levels}
+        targets = {encode((level,) * n) for level in levels} if n > 3 else set()
+        assert set(memo) - before == targets
 
 
 class TestPrefixSplitting:
