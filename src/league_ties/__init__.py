@@ -1,9 +1,11 @@
 """Exact counting of tied double round-robin seasons under 3/1/0 scoring.
 
-Two independent routes to every count: a brute-force enumeration of all
-match outcomes (the oracle, practical to n=5) and an optimised counter that
-folds away symmetries, prunes impossible first-team profiles and searches
-the rest (practical to n=8).
+Two independent routes produce the totals through n=5: a brute-force
+enumeration of all match outcomes (the oracle, practical to n=5) and an
+optimised counter that folds away symmetries, prunes impossible first-team
+profiles and searches the rest (practical to n=8).  The totals for n=6..8
+rest on the optimised counter, whose per-profile counts are checked
+against a plain recursive row search (``brute.completions_search``).
 """
 
 from .brute import count_completions_bruteforce, count_tied_bruteforce

@@ -52,7 +52,7 @@ from functools import cache, lru_cache, partial
 from itertools import product
 
 from .errors import SizeRefusedError
-from .parallel import shared_results
+from .parallel import check_workers, shared_results
 from .scoring import (
     PAIR_MULTIPLICITY,
     PAIR_POINTS,
@@ -370,6 +370,7 @@ def count_tied_by_level_bruteforce(
             f"brute-force sweep of n={size.n} means 3**{size.matches} outcomes; "
             f"the ceiling is n={BRUTE_CEILING}"
         )
+    check_workers(workers)
     n = size.n
     blocks = _season_blocks(n)
     sweep = partial(count_tied_block, n)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .errors import CheckpointError, LeagueTiesError, SizeRefusedError
 from .eulerian import eulerian_count
-from .parallel import shared_results
+from .parallel import check_workers, shared_results
 from .profiles import (
     Profile,
     ProfileClass,
@@ -47,8 +47,8 @@ from .search import _tails4, count_completions, split_prefixes
 
 ENGINE_VERSION = "0.1.0"
 
-#: Largest league the optimised counter accepts.  n=8 takes seconds; n=9
-#: stays refused until a second route can vouch for its total.
+#: Largest league the optimised counter accepts.  n=8 takes under a second;
+#: n=9 stays refused until a second route can vouch for its total.
 MAX_TEAMS = 8
 
 #: Previously computed totals (OEIS A380592), used as reference values by
@@ -275,8 +275,7 @@ def count_tied(
             f"optimised counter supports 2 <= n <= {MAX_TEAMS}; n={n} needs a "
             f"different algorithm"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_workers(workers)
     start = time.perf_counter()
 
     stats = {cls: 0 for cls in ProfileClass}

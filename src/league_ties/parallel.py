@@ -7,6 +7,16 @@ from collections.abc import Callable, Hashable, Iterator, Sequence
 _Groups = Sequence[Sequence[Hashable]]
 
 
+def check_workers(workers: object) -> None:
+    """Refuse a worker count that is not an int of at least 1; a bool is not one.
+
+    Every entry point that takes ``workers`` calls this before it starts
+    any process, so a bad value fails the same way wherever it is passed.
+    """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+
+
 def shared_results(groups: _Groups, workers: int, run: Callable) -> Iterator[tuple]:
     """``run(task)`` for every task of ``groups``, here and in up to ``workers - 1`` children.
 

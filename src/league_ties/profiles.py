@@ -43,7 +43,10 @@ class Profile:
     takes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        takes = self.takes
+        # Stored as a tuple whatever sequence was passed, so that equal
+        # profiles compare and hash alike.
+        takes = tuple(self.takes)
+        object.__setattr__(self, "takes", takes)
         if len(takes) < 1:
             raise ValueError("profile must cover at least one opponent")
         check_takes(takes)

@@ -42,13 +42,13 @@ teams left from ``_SMALL``.  The deficits kept from earlier in the row are
 never negative, so every pass drops exactly the entries with a take that
 does not fit, and no code it builds has a negative index.
 
-The tables of widths 0 to 3 are built at import.  The width-4 table, about
-nine times larger (4 803 entries), is built from the width-3 one by the
-same one-code step when the first key of five or more teams is counted, so
-an import, ``count_tied`` of five teams or fewer and the brute-force
-oracles never pay for it.  Its entries are stored flat, as (opponents'
-total, four takes, weight), and an entry that several patterns list alike
-is one tuple.
+Every entry is stored flat, as (opponents' total, one take per opponent,
+weight), and an entry that several patterns list alike is one tuple.  The
+width-3 table is built at import, one code at a time from the empty tail.
+The width-4 table, about nine times larger (4 803 entries), is built from
+it by the same one-code step when the first key of five or more teams is
+counted, so an import, ``count_tied`` of five teams or fewer and the
+brute-force oracles never pay for it.
 
 Tail opponents with equal deficits are interchangeable: swapping their codes
 changes none of the owner's points, the opponents' total, the fit of each
@@ -113,28 +113,18 @@ def _small_counts() -> dict[int, int]:
 #: ``()`` and ``(0,)``, 4 of two teams and 40 of three, by code.
 _SMALL = _small_counts()
 
-#: Widest row end closed from a table instead of code by code; the tail
-#: passes of :func:`_row` for this width and the one below are written out.
-_TAIL_WIDTH = 4
-
-#: A tail table: per owner's need, (opponents' total, takes, weight) entries.
-_Table = tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
-
-#: A width-4 tail table, stored flat: per owner's need, (opponents' total,
-#: k0, k1, k2, k3, weight) entries.
-_FlatTable = tuple[tuple[tuple[int, ...], ...], ...]
+#: A tail table: per pattern, per owner's need, (opponents' total, one take
+#: per opponent, weight) entries.
+_Table = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
 
-def _extend(
-    previous: tuple[_Table, ...], width: int, *, flat: bool = False
-) -> tuple[_Table, ...] | tuple[_FlatTable, ...]:
+def _extend(previous: _Table, width: int) -> _Table:
     """Every assignment of ``width`` codes, per pattern, from those of one code fewer.
 
     The result's ``[pattern][k]`` lists the assignments of ``width`` codes
     worth ``k`` points to the row owner as (points to the opponents in
-    total, points to each opponent, weight), in ascending order; with
-    ``flat`` the points to each opponent are spread into the entry.  Bit
-    ``i`` of ``pattern`` is set when tail opponents ``i`` and ``i + 1`` have
+    total, points to each opponent, weight), in ascending order.  Bit ``i``
+    of ``pattern`` is set when tail opponents ``i`` and ``i + 1`` have
     equal deficits; within each such run only the non-decreasing ordering
     of the takes is kept.  Each entry of ``previous`` (the tables of
     ``width - 1`` codes) gets one more code, the run the new code joins is
@@ -152,49 +142,38 @@ def _extend(
         merged = [{} for _ in range(6 * width + 1)]
         # The pattern of the first width - 1 opponents is the low bits.
         for need, entries in enumerate(previous[pattern % len(previous)]):
-            for taken, takes, weight in entries:
+            for taken, *takes, weight in entries:
                 head, run = takes[:start], takes[start:]
                 for a, b, mult in _CODES:
-                    # A code that starts a run of its own needs no sort.
-                    key = taken + b, head + tuple(sorted((*run, b))) if run else takes + (b,)
+                    key = (taken + b, *head, *sorted(run + [b]))
                     weights = merged[need + a]
                     weights[key] = weights.get(key, 0) + weight * mult
         table = []
         for weights in merged:
-            kept = []
-            for (taken, takes), w in sorted(weights.items()):
-                entry = (taken, *takes, w) if flat else (taken, takes, w)
-                # An entry whose runs each repeat one take stands for one
-                # ordering, so other patterns list it alike: keep one tuple.
-                kept.append(shared.setdefault(entry, entry))
-            table.append(tuple(kept))
+            ordered = sorted((*key, w) for key, w in weights.items())
+            # An entry whose runs each repeat one take stands for one
+            # ordering, so other patterns list it alike: keep one tuple.
+            table.append(tuple(shared.setdefault(e, e) for e in ordered))
         folded.append(tuple(table))
     return tuple(folded)
 
 
-def _tail_tables() -> tuple[tuple[_Table, ...], ...]:
-    """The tail tables of widths 0 to ``_TAIL_WIDTH - 1``, one code at a time."""
-    tables = [((((0, (), 1),),),)]
-    for width in range(1, _TAIL_WIDTH):
-        tables.append(_extend(tables[-1], width))
-    return tuple(tables)
+#: ``_TAILS3[pattern][k]``: the width-3 tail table for an owner needing
+#: ``k``, folded over the equal-deficit runs that ``pattern`` marks (see
+#: :func:`_extend`); pattern 0 is the unfolded table.  It is extended from
+#: the width-0 table, whose one entry is the empty assignment ``(0, 1)``.
+_TAILS3 = _extend(_extend(_extend(((((0, 1),),),), 1), 2), 3)
+
+#: The width-4 tables, indexed like ``_TAILS3``; ``None`` until
+#: :func:`_tails4` first builds them.
+_TAILS4: _Table | None = None
 
 
-#: ``_TAILS[w][pattern][k]``: the tail table of width ``w`` < 4 for an owner
-#: needing ``k``, folded over the equal-deficit runs that ``pattern`` marks
-#: (see :func:`_extend`); pattern 0 is the unfolded table.
-_TAILS = _tail_tables()
-
-#: The width-4 tables, flat, indexed like ``_TAILS[4]`` would be; ``None``
-#: until :func:`_tails4` first builds them.
-_TAILS4: tuple[_FlatTable, ...] | None = None
-
-
-def _tails4() -> tuple[_FlatTable, ...]:
-    """The width-4 tail tables, extended from ``_TAILS[3]`` on the first call."""
+def _tails4() -> _Table:
+    """The width-4 tail tables, extended from ``_TAILS3`` on the first call."""
     global _TAILS4
     if _TAILS4 is None:
-        _TAILS4 = _extend(_TAILS[3], 4, flat=True)
+        _TAILS4 = _extend(_TAILS3, 4)
     return _TAILS4
 
 
@@ -235,10 +214,10 @@ def _row(
     ``need`` is what the row owner still needs from opponents ``j..``, and
     ``rest`` holds the deficits that opponents ``1..j-1`` keep once the row
     closes, ``code`` their code.  The opponents ``j..`` must take between
-    ``lo`` and ``hi`` points from the row in total.  The last
-    ``_TAIL_WIDTH`` encounters are closed in one pass over their tail table.
-    Deliberately a module-level function: a nested recursive closure would
-    leave a reference cycle behind on every call.
+    ``lo`` and ``hi`` points from the row in total.  The last four
+    encounters (three in a row of four teams) are closed in one pass over
+    their tail table.  Deliberately a module-level function: a nested
+    recursive closure would leave a reference cycle behind on every call.
 
     The deficits are sorted, so the tail table is the one folded for the
     pattern of equal neighbouring deficits among the tail opponents (see
@@ -284,7 +263,7 @@ def _row(
         t0, t1, t2 = deficits[j:]
         small = _SMALL
         total = 0
-        for taken, (k0, k1, k2), mult in _TAILS[3][(t0 == t1) | ((t1 == t2) << 1)][need]:
+        for taken, k0, k1, k2, mult in _TAILS3[(t0 == t1) | ((t1 == t2) << 1)][need]:
             if taken < lo:
                 continue
             if taken > hi:
@@ -360,7 +339,4 @@ def split_prefixes(profile: Profile, length: int) -> list[tuple[int, ...]]:
     width = profile.n - 2
     if not 0 <= length <= width:
         raise ValueError(f"prefix length {length} out of range for n={profile.n}")
-    prefixes: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        prefixes = [p + (d,) for p in prefixes for d in range(6)]
-    return prefixes
+    return list(product(range(6), repeat=length))

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS line (visible with ``pytest -s`` or in the
 captured output section) so a run doubles as a human-readable report.
-Criteria marked long (the 3**20 season sweep, the n=8 count) are enabled
-with ``--run-long``.
+Criteria marked long (the 3**20 season sweep) are enabled with
+``--run-long``.
 """
 
 import json
@@ -98,19 +98,18 @@ def test_04_seven_team_total():
           f"(1 worker: {single_s:.1f}s, 8 workers: {pooled_s:.1f}s)")
 
 
-@pytest.mark.long
 def test_05_eight_team_total():
     t0 = time.perf_counter()
     report = count_tied(8)
     elapsed = time.perf_counter() - t0
     assert report.total == KNOWN_TOTALS[8] == 3439079361325736243
     assert elapsed < 60.0
-    print(f"PASS 05-long n=8 total: 3439079361325736243 ({elapsed:.1f}s)")
+    print(f"PASS 05 n=8 total: 3439079361325736243 ({elapsed:.1f}s)")
 
 
 def test_05_eight_team_value_documented_and_resume_substitute(tmp_path):
-    # The n=8 value is embedded (test_05_eight_team_total reproduces it under
-    # --run-long); the CLI's refusal now starts above it, at n=9.
+    # The n=8 value is embedded (test_05_eight_team_total reproduces it);
+    # the CLI's refusal starts above it, at n=9.
     assert KNOWN_TOTALS[8] == 3439079361325736243
     refused = _cli("count", "--teams", "9")
     assert refused.returncode == 3

@@ -87,7 +87,6 @@ class TestScheduling:
         for n in range(2, 8):
             assert count_tied(n, workers=workers).total == KNOWN_TOTALS[n]
 
-    @pytest.mark.long
     def test_eight_teams_with_two_workers(self):
         assert count_tied(8, workers=2).total == KNOWN_TOTALS[8]
 

@@ -8,6 +8,8 @@ from contextlib import closing
 
 import pytest
 
+from league_ties.brute import count_tied_by_level_bruteforce
+from league_ties.engine import count_tied
 from league_ties.parallel import shared_results
 
 
@@ -67,3 +69,17 @@ class TestSharedResults:
         results.close()
         assert len(started) == 2
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+@pytest.mark.parametrize(
+    "count",
+    [lambda w: count_tied(5, workers=w), lambda w: count_tied_by_level_bruteforce(4, workers=w)],
+    ids=["count_tied", "season_sweep"],
+)
+def test_worker_count_is_refused_before_any_process(count, workers, started):
+    # The count and the season sweep take the same worker counts: an int of
+    # at least 1.  A bool or a float is refused, not rounded or run serially.
+    with pytest.raises(ValueError, match="workers must be an int >= 1"):
+        count(workers)
+    assert started == []

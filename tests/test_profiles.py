@@ -54,6 +54,13 @@ class TestProfileType:
 
         assert Profile((Take(4), 3)).takes == (4, 3)
 
+    def test_takes_are_stored_as_a_tuple(self):
+        from_list = Profile([4, 3, 3, 0])
+        assert from_list.takes == (4, 3, 3, 0)
+        assert from_list == Profile((4, 3, 3, 0))
+        assert hash(from_list) == hash(Profile((4, 3, 3, 0)))
+        assert len({from_list, Profile((4, 3, 3, 0))}) == 1
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="^profile must cover at least one opponent$"):
             Profile(())

@@ -31,8 +31,8 @@ from league_ties.search import (
     _CODES,
     _POW,
     _SMALL,
-    _TAIL_WIDTH,
-    _TAILS,
+    _TAILS3,
+    _extend,
     _solve,
     _tails4,
     count_completions,
@@ -218,28 +218,33 @@ class TestDeficitDP:
 
 
 def tail_tables(width):
-    """The tail tables of ``width`` as (taken, takes, weight) entries.
+    """The tail tables of ``width``, extended one code at a time from the empty tail.
 
-    Width 4 comes from its first-use builder, which stores each entry flat
-    as (taken, k0, k1, k2, k3, weight).
+    Widths 3 and 4, which the row DP reads, must equal the tables it holds:
+    ``_TAILS3``, built at import, and ``_tails4()``, built on first use.
     """
-    if width < _TAIL_WIDTH:
-        return _TAILS[width]
-    tables = _tails4()
-    assert {len(e) for by_pattern in tables for by_need in by_pattern for e in by_need} == {6}
-    return tuple(
-        tuple(tuple((e[0], e[1:-1], e[-1]) for e in by_need) for by_need in by_pattern)
-        for by_pattern in tables
-    )
+    tables = ((((0, 1),),),)
+    for w in range(1, width + 1):
+        tables = _extend(tables, w)
+    if width == 3:
+        assert tables == _TAILS3
+    if width == 4:
+        assert tables == _tails4()
+    return tables
+
+
+def split(entry):
+    """(opponents' total, takes, weight) of one flat tail-table entry."""
+    return entry[0], entry[1:-1], entry[-1]
 
 
 class TestTailTables:
-    @pytest.mark.parametrize("width", range(_TAIL_WIDTH + 1))
+    @pytest.mark.parametrize("width", range(5))
     def test_every_assignment_once(self, width):
         # Pattern 0 is the reference the folded tables are checked against:
         # every ordered assignment once, weighted by its codes' multiplicities.
         full = tail_tables(width)[0]
-        entries = [e for by_need in full for e in by_need]
+        entries = [split(e) for by_need in full for e in by_need]
         assert len(entries) == 6**width
         assert sum(mult for _, _, mult in entries) == 9**width
         all_takes = [takes for _, takes, _ in entries]
@@ -248,16 +253,16 @@ class TestTailTables:
         owner_points = {b: a for a, b, _ in _CODES}
         multiplicity = {b: mult for _, b, mult in _CODES}
         for need, by_need in enumerate(full):
-            for taken, takes, mult in by_need:
+            for taken, takes, mult in map(split, by_need):
                 assert sum(owner_points[b] for b in takes) == need
                 assert sum(takes) == taken
                 assert mult == prod(multiplicity[b] for b in takes)
-            totals = [taken for taken, _, _ in by_need]
+            totals = [taken for taken, *_ in by_need]
             assert totals == sorted(totals)
 
     @pytest.mark.parametrize(
         "width, pattern",
-        [(w, p) for w in range(_TAIL_WIDTH + 1) for p in range(1 << max(w - 1, 0))],
+        [(w, p) for w in range(5) for p in range(1 << max(w - 1, 0))],
     )
     def test_folded_tables_expand_to_the_full_table(self, width, pattern):
         # Bit i of the pattern joins tail positions i and i + 1 into one run of
@@ -270,9 +275,9 @@ class TestTailTables:
         runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [width])]
         owner_points = {b: a for a, b, _ in _CODES}
         for need, by_need in enumerate(tables[pattern]):
-            full = {takes: mult for _, takes, mult in tables[0][need]}
+            full = {takes: mult for _, takes, mult in map(split, tables[0][need])}
             expanded = []
-            for taken, takes, weight in by_need:
+            for taken, takes, weight in map(split, by_need):
                 assert sum(owner_points[b] for b in takes) == need
                 assert sum(takes) == taken
                 orderings = [
@@ -282,8 +287,18 @@ class TestTailTables:
                 assert weight == sum(full[t] for t in orderings)
                 expanded += orderings
             assert sorted(expanded) == sorted(full)
-            totals = [taken for taken, _, _ in by_need]
+            totals = [taken for taken, *_ in by_need]
             assert totals == sorted(totals)
+
+    @pytest.mark.parametrize("width, size, distinct", [(3, 524, 426), (4, 4803, 3361)])
+    def test_equal_entries_are_one_object(self, width, size, distinct):
+        # An entry that several patterns list alike is stored once, which
+        # keeps the width-4 build's peak memory down.
+        tables = _TAILS3 if width == 3 else _tails4()
+        entries = [e for by_pattern in tables for by_need in by_pattern for e in by_need]
+        assert len(entries) == size
+        assert len(set(entries)) == distinct
+        assert len({id(e) for e in entries}) == distinct
 
     def test_width_four_is_built_on_first_use(self):
         # Neither the import nor a count whose keys have four teams or fewer
